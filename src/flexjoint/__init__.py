@@ -36,6 +36,7 @@ from .lti import (
     admittance_1dof,
     assemble_closed_loop,
     assemble_coupled,
+    assemble_plant_loop,
     env_impedance_tf,
     freq_response,
     poles_zeros,

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -194,19 +193,12 @@ def run_bode(cfg: ExperimentConfig, outdir: Path, grid_points: int = 400):
     tf_target = target_admittance(target)
     mag_target, phase_target = freq_response(tf_target, grid)
 
-    def response(combo):
-        kf, kg = combo
-        shaped = recover_shaped(plant, kf, kg)
-        ss = assemble_closed_loop(plant, shaped, outer)
-        mag, phase = freq_response(ss, grid)
-        return mag, phase, float(np.max(np.abs(mag - mag_target)))
-
-    with ThreadPoolExecutor(max_workers=min(4, len(combos))) as pool:
-        responses = list(pool.map(response, combos))
-
     rows = []
     errors = {}
-    for (kf, kg), (mag, phase, err) in zip(combos, responses):
+    for kf, kg in combos:
+        shaped = recover_shaped(plant, kf, kg)
+        mag, phase = freq_response(assemble_closed_loop(plant, shaped, outer), grid)
+        err = float(np.max(np.abs(mag - mag_target)))
         sid = _system_id(kf, kg)
         errors[(kf, kg)] = err
         for w, m, ph in zip(grid, mag, phase):
@@ -339,16 +331,14 @@ def run_simulate(cfg: ExperimentConfig, outdir: Path, dt: float | None = None,
     runs = [(None, "sim")] if je_sweep is None else [
         (float(v), f"sim_je{i + 1}") for i, v in enumerate(je_sweep)]
 
-    def execute(run):
-        je_value, label = run
+    def execute(je_value, label):
         sc = Scenario(plant=plant, controller=controller_for(je_value), outer=outer,
                       environment=environment, input=signal, T=float(sim_T), dt=sim_dt)
         if environment is not None:
             return label, je_value, simulate_coupled(sc)
         return label, je_value, simulate_plant_with_controller(sc)
 
-    with ThreadPoolExecutor(max_workers=min(4, len(runs))) as pool:
-        results = list(pool.map(execute, runs))
+    results = [execute(je_value, label) for je_value, label in runs]
 
     target_result = None
     if target_spec is not None:

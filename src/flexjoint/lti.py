@@ -1,7 +1,8 @@
 """LTI analysis of the shaped closed loop.
 
-State-space assembly for the shaped loop and for its interconnection with
-a mass-spring-damper environment, exact 1-DOF admittances, transfer
+State-space assembly of every constant-mass chart (the plant under the
+control law, the shaped loop, and its interconnection with a
+mass-spring-damper environment), exact 1-DOF admittances, transfer
 functions from state space via the Faddeev-LeVerrier recursion, frequency
 responses, pole/zero extraction, and a grid-based positive-real check.
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import OuterLoop, ShapedParams
+from .control import ImpedanceGains, OuterLoop, ShapedParams
 from .errors import (
     AssemblyError,
     NotApplicableError,
@@ -156,8 +157,8 @@ class PassivityVerdict:
     min_real: float | None = None     # minimum of Re tf(jw) over the grid
 
 
-def _state_labels(n: int) -> tuple:
-    return tuple(f"{name}{i + 1}" for name in ("q", "phi", "p", "z") for i in range(n))
+def _state_labels(n: int, names=("q", "phi", "p", "z")) -> tuple:
+    return tuple(f"{name}{i + 1}" for name in names for i in range(n))
 
 
 def assemble_closed_loop(m: LinearRobotParams, sp: ShapedParams,
@@ -200,6 +201,62 @@ def assemble_closed_loop(m: LinearRobotParams, sp: ShapedParams,
                       state_labels=_state_labels(n),
                       input_labels=tuple(f"tau_e{i + 1}" for i in range(n)),
                       output_labels=tuple(f"qdot{i + 1}" for i in range(n)))
+
+
+def assemble_plant_loop(m: LinearRobotParams, g: ImpedanceGains,
+                        outer: OuterLoop | None = None) -> StateSpace:
+    """Plant under the impedance control law as a state-space system.
+
+    States (q, theta, p, s); inputs tau_e and an extra auxiliary torque
+    tau_u, as in ``assemble_coupled``.  The control law
+
+        tau = K_F tau_e - K_G tau_a + K_H tau_u,   tau_a = K (theta - q) + D (theta' - q')
+
+    drives the motor momentum.  The system is built from the plant
+    matrices and the gains alone, never from the shaped chart, so it is an
+    independent computation of the loop that ``assemble_closed_loop``
+    writes in shaped coordinates.  The shaped motor coordinate follows from
+    the gains as
+
+        phi = (J - K_F M)^-1 (J theta - K_F M q),   phi' = (J - K_F M)^-1 (s - K_F p),
+
+    and an outer loop folds ``tau_u = -K_phi phi - D_phi phi'`` into the
+    dynamics (the set-point is left out, as in the other assemblies).
+    Outputs: the link velocity ``M^-1 p``, ``phi``, ``phi'`` and ``tau``.
+    The gains ``K_F = K_G = 0, K_H = I`` give the bare plant.
+    """
+    if not isinstance(m, LinearRobotParams):
+        raise ValidationError("state-space assembly requires a constant-mass plant")
+    n = m.n
+    if g.n != n:
+        raise AssemblyError(f"gains are {g.n}-joint, plant is {n}-joint")
+    try:
+        Minv = np.linalg.inv(m.M)
+        Jinv = np.linalg.inv(m.J)
+        Ninv = np.linalg.inv(m.J - g.K_F @ m.M)
+    except np.linalg.LinAlgError as exc:
+        raise AssemblyError(f"singular inertia block: {exc}") from None
+
+    Z = np.zeros((n, n))
+    I = np.eye(n)
+    Ta = np.hstack([-m.K, m.K, -m.D @ Minv, m.D @ Jinv])
+    Phi = Ninv @ np.hstack([-g.K_F @ m.M, m.J, Z, Z])
+    Phid = Ninv @ np.hstack([Z, Z, -g.K_F, I])
+    Tu = np.zeros((n, 4 * n))
+    if outer is not None:
+        if outer.n != n:
+            raise AssemblyError(f"outer loop is {outer.n}-joint, plant is {n}-joint")
+        Tu = -outer.K_phi @ Phi - outer.D_phi @ Phid
+    Tau = -g.K_G @ Ta + g.K_H @ Tu
+    qdot = np.hstack([Z, Z, Minv, Z])
+    A = np.vstack([qdot, np.hstack([Z, Z, Z, Jinv]), Ta, -Ta + Tau])
+    B = np.block([[Z, Z], [Z, Z], [I, Z], [g.K_F, g.K_H]])
+    C = np.vstack([qdot, Phi, Phid, Tau])
+    Dmat = np.vstack([np.zeros((3 * n, 2 * n)), np.hstack([g.K_F, g.K_H])])
+    return StateSpace(A, B, C, Dmat,
+                      state_labels=_state_labels(n, ("q", "theta", "p", "s")),
+                      input_labels=_state_labels(n, ("tau_e", "tau_u")),
+                      output_labels=_state_labels(n, ("qdot", "phi", "phidot", "tau")))
 
 
 def assemble_coupled(m: LinearRobotParams, sp: ShapedParams, env: EnvironmentImpedance,

@@ -19,7 +19,7 @@ in the scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +28,17 @@ from .control import (
     OuterLoop,
     ShapedParams,
     check_gain_consistency,
-    outer_loop_torque,
     recover_shaped,
     synthesize_gains,
 )
 from .errors import DivergenceError, ValidationError
 from .linalg import as_matrix, as_vector, pencil_max_frequency
-from .lti import EnvironmentImpedance
+from .lti import (
+    EnvironmentImpedance,
+    assemble_closed_loop,
+    assemble_coupled,
+    assemble_plant_loop,
+)
 from .model import (
     LinearRobotParams,
     NonlinearRobotModel,
@@ -102,15 +106,12 @@ class Scenario:
     """Simulation configuration.
 
     ``controller`` accepts either parametrization (gains or shaped
-    parameters) or ``None`` for the bare plant; ``law`` selects the
-    control law and defaults to the plant kind (the two laws coincide on
-    constant-mass plants).  ``dt=None`` picks a deterministic default
-    below the stability cap.
+    parameters) or ``None`` for the bare plant.  ``dt=None`` picks a
+    deterministic default below the stability cap.
     """
 
     plant: RobotModel
     controller: ImpedanceGains | ShapedParams | None = None
-    law: str = "auto"               # auto | linear | nonlinear
     outer: OuterLoop | None = None
     environment: EnvironmentImpedance | None = None
     input: InputSignal = InputSignal()
@@ -119,8 +120,6 @@ class Scenario:
     x0: OpenLoopState | None = None
 
     def __post_init__(self):
-        if self.law not in ("auto", "linear", "nonlinear"):
-            raise ValidationError(f"unknown control law {self.law!r}")
         if self.T <= 0.0:
             raise ValidationError("horizon T must be positive")
 
@@ -212,9 +211,8 @@ class _Resolved:
     model: NonlinearRobotModel
     n: int
     x0: OpenLoopState
-    shaped: ShapedParams | None
-    gains: ImpedanceGains | None
-    law: str
+    shaped: ShapedParams            # (J, K, D) for the bare plant
+    gains: ImpedanceGains           # K_F = K_G = 0, K_H = I for the bare plant
     dt: float
     nsteps: int
     linear_fast: bool
@@ -229,29 +227,25 @@ def _resolve(sc: Scenario, need_controller: bool = False) -> _Resolved:
     if sc.input.kind != "zero" and sc.input.joint >= n:
         raise ValidationError(f"input joint {sc.input.joint} out of range for n={n}")
 
-    law = sc.law
-    if law == "auto":
-        law = "linear" if model.constant_mass else "nonlinear"
-    if law == "linear" and not model.constant_mass:
-        raise ValidationError("the constant-mass control law requires a constant mass matrix")
-
-    shaped = gains = None
-    if sc.controller is not None:
-        if isinstance(sc.controller, ShapedParams):
-            shaped = sc.controller
-            gains, _ = synthesize_gains(model, shaped.J_e, shaped.K_e, q_ref=x0.q)
-        elif isinstance(sc.controller, ImpedanceGains):
-            gains = sc.controller
-            shaped = recover_shaped(model, gains.K_F, gains.K_G, q_ref=x0.q)
-            check_gain_consistency(gains, shaped, model)
-        else:
-            raise ValidationError(f"unsupported controller type {type(sc.controller).__name__}")
-        if shaped.n != n:
-            raise ValidationError(f"controller is {shaped.n}-joint, plant is {n}-joint")
-    elif need_controller:
-        raise ValidationError("this simulation requires a controller")
+    if sc.controller is None:
+        if need_controller:
+            raise ValidationError("this simulation requires a controller")
+        # the bare plant is the identity shaping, whose control torque is zero
+        gains = ImpedanceGains(np.zeros((n, n)), np.zeros((n, n)), np.eye(n))
+        shaped = ShapedParams(model.J, model.K, model.D)
+    elif isinstance(sc.controller, ShapedParams):
+        shaped = sc.controller
+        gains, _ = synthesize_gains(model, shaped.J_e, shaped.K_e, q_ref=x0.q)
+    elif isinstance(sc.controller, ImpedanceGains):
+        gains = sc.controller
+        shaped = recover_shaped(model, gains.K_F, gains.K_G, q_ref=x0.q)
+        check_gain_consistency(gains, shaped, model)
+    else:
+        raise ValidationError(f"unsupported controller type {type(sc.controller).__name__}")
+    if shaped.n != n:
+        raise ValidationError(f"controller is {shaped.n}-joint, plant is {n}-joint")
     if sc.outer is not None:
-        if shaped is None:
+        if sc.controller is None:
             raise ValidationError("an outer loop requires a controller")
         if sc.outer.n != n:
             raise ValidationError(f"outer loop is {sc.outer.n}-joint, plant is {n}-joint")
@@ -270,7 +264,7 @@ def _resolve(sc: Scenario, need_controller: bool = False) -> _Resolved:
         raise ValidationError("horizon T must be at least one step")
     nsteps = int(round(sc.T / dt))
     linear_fast = isinstance(sc.plant, LinearRobotParams)
-    return _Resolved(model, n, x0, shaped, gains, law, dt, nsteps, linear_fast)
+    return _Resolved(model, n, x0, shaped, gains, dt, nsteps, linear_fast)
 
 
 def _default_dt(cap: float) -> float:
@@ -314,7 +308,7 @@ def stability_dt_cap(sc: Scenario) -> float:
 
 
 # ---------------------------------------------------------------------------
-# plant chart
+# simulators
 # ---------------------------------------------------------------------------
 
 def simulate_plant_with_controller(sc: Scenario) -> SimResult:
@@ -326,361 +320,15 @@ def simulate_plant_with_controller(sc: Scenario) -> SimResult:
     """
     if sc.environment is not None:
         raise ValidationError("environment coupling is handled by simulate_coupled")
-    r = _resolve(sc)
-    if r.linear_fast:
-        return _simulate_plant_linear(sc, r)
-    return _simulate_plant_generic(sc, r)
+    return _simulate(sc, _resolve(sc), "open")
 
 
-def _simulate_plant_linear(sc: Scenario, r: _Resolved) -> SimResult:
-    model, n = r.model, r.n
-    Minv = np.linalg.inv(model.mass_of(np.zeros(n)))
-    Jinv = np.linalg.inv(model.J)
-    Z = np.zeros((n, n))
-    Zr = np.zeros((n, 4 * n))
-
-    Ta = np.hstack([-model.K, model.K, -model.D @ Minv, model.D @ Jinv])
-    A = np.vstack([
-        np.hstack([Z, Z, Minv, Z]),
-        np.hstack([Z, Z, Z, Jinv]),
-        Ta,
-        -Ta,
-    ])
-    if r.shaped is not None:
-        Keinv = np.linalg.inv(r.shaped.K_e)
-        KeK = Keinv @ (r.shaped.K_e - model.K)
-        KeKth = Keinv @ model.K
-        Phi = np.hstack([KeK, KeKth, Z, Z])
-        Phid = np.hstack([Z, Z, KeK @ Minv, KeKth @ Jinv])
-        if sc.outer is not None:
-            Tu = -sc.outer.K_phi @ Phi - sc.outer.D_phi @ Phid
-            tu_const = sc.outer.K_phi @ sc.outer.phi_d
-        else:
-            Tu = Zr.copy()
-            tu_const = np.zeros(n)
-        tau_row = -r.gains.K_G @ Ta + r.gains.K_H @ Tu
-        tau_const = r.gains.K_H @ tu_const
-        A[3 * n:] += tau_row
-        Bcol = np.vstack([Z, Z, np.eye(n), r.gains.K_F])
-        const = np.concatenate([np.zeros(3 * n), tau_const])
-    else:
-        Phi = Phid = Tu = None
-        tu_const = np.zeros(n)
-        Bcol = np.vstack([Z, Z, np.eye(n), Z])
-        const = np.zeros(4 * n)
-
-    signal = sc.input
-
-    def field(t, xa):
-        x = xa[:4 * n]
-        u = signal.torque(t, n)
-        dx = A @ x + Bcol @ u + const
-        qdot = dx[:n]
-        if Phid is not None:
-            tau_u = Tu @ x + tu_const
-            rate = qdot @ u + (Phid @ x) @ tau_u
-        else:
-            rate = qdot @ u
-        out = np.empty(4 * n + 1)
-        out[:4 * n] = dx
-        out[4 * n] = rate
-        return out
-
-    xa0 = np.concatenate([r.x0.pack(), [0.0]])
-    X = _rk4_loop(field, xa0, r.dt, r.nsteps)
-    t = r.dt * np.arange(r.nsteps + 1)
-    states = X[:, :4 * n]
-    supply = X[:, 4 * n]
-    q, theta, p, s = (states[:, i * n:(i + 1) * n] for i in range(4))
-    tau_e = signal.torque_series(t, n)
-
-    if r.shaped is not None:
-        phi = states @ Phi.T
-        Zrow = np.hstack([Z, Z, r.shaped.J_e @ KeK @ Minv, r.shaped.J_e @ KeKth @ Jinv])
-        z = states @ Zrow.T
-        tau_u = states @ Tu.T + tu_const
-        tau_a = states @ Ta.T
-        tau = tau_e @ r.gains.K_F.T - tau_a @ r.gains.K_G.T + tau_u @ r.gains.K_H.T
-        H = _closed_energy_series(q, phi, p, z, r.shaped, Minv)
-    else:
-        phi = z = tau_u = None
-        tau = np.zeros_like(q)
-        defl = theta - q
-        H = (0.5 * np.einsum("ij,jk,ik->i", p, Minv, p)
-             + 0.5 * np.einsum("ij,jk,ik->i", s, Jinv, s)
-             + 0.5 * np.einsum("ij,jk,ik->i", defl, model.K, defl))
-    return SimResult(t, q, p, theta, s, phi, z, tau, tau_e, tau_u, H, supply,
-                     chart="open", dt=r.dt)
-
-
-def _closed_energy_series(q, phi, p, z, sp: ShapedParams, Minv) -> np.ndarray:
-    Jeinv = np.linalg.inv(sp.J_e)
-    defl = phi - q
-    return (0.5 * np.einsum("ij,jk,ik->i", p, Minv, p)
-            + 0.5 * np.einsum("ij,jk,ik->i", z, Jeinv, z)
-            + 0.5 * np.einsum("ij,jk,ik->i", defl, sp.K_e, defl))
-
-
-def _simulate_plant_generic(sc: Scenario, r: _Resolved) -> SimResult:
-    model, n = r.model, r.n
-    Jinv = np.linalg.inv(model.J)
-    K, D = model.K, model.D
-    signal = sc.input
-    outer = sc.outer
-    shaped, gains = r.shaped, r.gains
-
-    if shaped is not None:
-        Keinv = np.linalg.inv(shaped.K_e)
-        KeK = Keinv @ (shaped.K_e - K)      # phi = KeK q + KeKth theta
-        KeKth = Keinv @ K
-        A_ = model.J @ np.linalg.solve(K, shaped.K_e - K)   # K_F(q) v = -A_ M(q)^-1 v
-        K_H = gains.K_H
-
-    def field(t, xa):
-        q = xa[:n]
-        theta = xa[n:2 * n]
-        p = xa[2 * n:3 * n]
-        s = xa[3 * n:4 * n]
-        u = signal.torque(t, n)
-        Mq = model.mass_of(q)
-        qdot = np.linalg.solve(Mq, p)
-        thdot = Jinv @ s
-        tau_a = K @ (theta - q) + D @ (thdot - qdot)
-        grad_v = model.gravity_grad_of(q)
-        kin = model.kinetic_grad(q, p)
-        if shaped is not None:
-            phi = KeK @ q + KeKth @ theta
-            phidot = KeK @ qdot + KeKth @ thdot
-            if outer is not None:
-                tau_u = -outer.K_phi @ (phi - outer.phi_d) - outer.D_phi @ phidot
-                if outer.gravity_comp:
-                    tau_u = tau_u + model.gravity_grad_of(phi)
-            else:
-                tau_u = np.zeros(n)
-            cor = model.coriolis_of(q, qdot) @ qdot
-            tau = (-A_ @ np.linalg.solve(Mq, u + tau_a - cor - grad_v)
-                   + tau_a + K_H @ (tau_u - tau_a))
-            rate = qdot @ u + phidot @ tau_u
-        else:
-            tau = np.zeros(n)
-            rate = qdot @ u
-        out = np.empty(4 * n + 1)
-        out[:n] = qdot
-        out[n:2 * n] = thdot
-        out[2 * n:3 * n] = -grad_v - kin + tau_a + u
-        out[3 * n:4 * n] = -tau_a + tau
-        out[4 * n] = rate
-        return out
-
-    xa0 = np.concatenate([r.x0.pack(), [0.0]])
-    X = _rk4_loop(field, xa0, r.dt, r.nsteps)
-    t = r.dt * np.arange(r.nsteps + 1)
-    states = X[:, :4 * n]
-    supply = X[:, 4 * n]
-    q, theta, p, s = (states[:, i * n:(i + 1) * n] for i in range(4))
-    tau_e = signal.torque_series(t, n)
-
-    npts = t.shape[0]
-    H = np.empty(npts)
-    if shaped is not None:
-        phi = np.empty((npts, n))
-        z = np.empty((npts, n))
-        tau_u = np.empty((npts, n))
-        tau = np.empty((npts, n))
-        Jeinv = np.linalg.inv(shaped.J_e)
-        for k in range(npts):
-            qk, thk, pk, sk = q[k], theta[k], p[k], s[k]
-            Mq = model.mass_of(qk)
-            qdot = np.linalg.solve(Mq, pk)
-            thdot = Jinv @ sk
-            phi[k] = KeK @ qk + KeKth @ thk
-            phidot = KeK @ qdot + KeKth @ thdot
-            z[k] = shaped.J_e @ phidot
-            tau_a = K @ (thk - qk) + D @ (thdot - qdot)
-            if outer is not None:
-                tu = -outer.K_phi @ (phi[k] - outer.phi_d) - outer.D_phi @ phidot
-                if outer.gravity_comp:
-                    tu = tu + model.gravity_grad_of(phi[k])
-            else:
-                tu = np.zeros(n)
-            tau_u[k] = tu
-            cor = model.coriolis_of(qk, qdot) @ qdot
-            tau[k] = (-A_ @ np.linalg.solve(Mq, tau_e[k] + tau_a - cor
-                                            - model.gravity_grad_of(qk))
-                      + tau_a + K_H @ (tu - tau_a))
-            defl = phi[k] - qk
-            H[k] = (0.5 * pk @ qdot + 0.5 * z[k] @ (Jeinv @ z[k])
-                    + 0.5 * defl @ shaped.K_e @ defl + model.potential_of(qk))
-    else:
-        phi = z = tau_u = None
-        tau = np.zeros_like(q)
-        for k in range(npts):
-            qk, thk, pk, sk = q[k], theta[k], p[k], s[k]
-            qdot = np.linalg.solve(model.mass_of(qk), pk)
-            defl = thk - qk
-            H[k] = (0.5 * pk @ qdot + 0.5 * sk @ (Jinv @ sk)
-                    + 0.5 * defl @ K @ defl + model.potential_of(qk))
-    return SimResult(t, q, p, theta, s, phi, z, tau, tau_e, tau_u, H, supply,
-                     chart="open", dt=r.dt)
-
-
-# ---------------------------------------------------------------------------
-# shaped chart
-# ---------------------------------------------------------------------------
-
-def simulate_closed_form(sc: Scenario, sp: ShapedParams | None = None) -> SimResult:
+def simulate_closed_form(sc: Scenario) -> SimResult:
     """Integrate the shaped dynamics directly in (q, phi, p, z)."""
     if sc.environment is not None:
         raise ValidationError("environment coupling is handled by simulate_coupled")
-    if sp is not None:
-        sc = replace(sc, controller=sp)
-    r = _resolve(sc, need_controller=True)
-    if r.linear_fast:
-        return _simulate_closed_linear(sc, r)
-    return _simulate_closed_generic(sc, r)
+    return _simulate(sc, _resolve(sc, need_controller=True), "closed")
 
-
-def _closed_linear_matrices(model, shaped, outer, n):
-    Minv = np.linalg.inv(model.mass_of(np.zeros(n)))
-    Jeinv = np.linalg.inv(shaped.J_e)
-    Z = np.zeros((n, n))
-    Ke, De = shaped.K_e, shaped.D_e
-    A = np.block([
-        [Z, Z, Minv, Z],
-        [Z, Z, Z, Jeinv],
-        [-Ke, Ke, -De @ Minv, De @ Jeinv],
-        [Ke, -Ke, De @ Minv, -De @ Jeinv],
-    ])
-    const = np.zeros(4 * n)
-    if outer is not None:
-        A[3 * n:, n:2 * n] -= outer.K_phi
-        A[3 * n:, 3 * n:] -= outer.D_phi @ Jeinv
-        const[3 * n:] = outer.K_phi @ outer.phi_d
-        Tu = np.hstack([Z, -outer.K_phi, Z, -outer.D_phi @ Jeinv])
-    else:
-        Tu = np.zeros((n, 4 * n))
-    return A, const, Tu, Minv, Jeinv
-
-
-def _simulate_closed_linear(sc: Scenario, r: _Resolved) -> SimResult:
-    model, n, shaped = r.model, r.n, r.shaped
-    A, const, Tu, Minv, Jeinv = _closed_linear_matrices(model, shaped, sc.outer, n)
-    tu_const = sc.outer.K_phi @ sc.outer.phi_d if sc.outer is not None else np.zeros(n)
-    B = np.vstack([np.zeros((2 * n, n)), np.eye(n), np.zeros((n, n))])
-    signal = sc.input
-
-    def field(t, xa):
-        x = xa[:4 * n]
-        u = signal.torque(t, n)
-        dx = A @ x + B @ u + const
-        tau_u = Tu @ x + tu_const
-        rate = dx[:n] @ u + dx[n:2 * n] @ tau_u
-        out = np.empty(4 * n + 1)
-        out[:4 * n] = dx
-        out[4 * n] = rate
-        return out
-
-    y0 = to_closed(r.x0, shaped, model)
-    xa0 = np.concatenate([y0.pack(), [0.0]])
-    X = _rk4_loop(field, xa0, r.dt, r.nsteps)
-    t = r.dt * np.arange(r.nsteps + 1)
-    states = X[:, :4 * n]
-    supply = X[:, 4 * n]
-    q, phi, p, z = (states[:, i * n:(i + 1) * n] for i in range(4))
-    tau_e = signal.torque_series(t, n)
-    tau_u = states @ Tu.T + tu_const
-    H = _closed_energy_series(q, phi, p, z, shaped, Minv)
-
-    # reconstruct the motor-side view and the equivalent applied torque
-    K = model.K
-    Kinv = np.linalg.inv(K)
-    theta = (phi @ shaped.K_e.T - q @ (shaped.K_e - K).T) @ Kinv.T
-    s = z @ r.gains.K_H.T + p @ r.gains.K_F.T
-    qdot = p @ Minv.T
-    phidot = z @ Jeinv.T
-    thdot = phidot @ (Kinv @ shaped.K_e).T - qdot @ (Kinv @ (shaped.K_e - K)).T
-    tau_a = (theta - q) @ K.T + (thdot - qdot) @ model.D.T
-    tau = tau_e @ r.gains.K_F.T - tau_a @ r.gains.K_G.T + tau_u @ r.gains.K_H.T
-    return SimResult(t, q, p, theta, s, phi, z, tau, tau_e, tau_u, H, supply,
-                     chart="closed", dt=r.dt)
-
-
-def _simulate_closed_generic(sc: Scenario, r: _Resolved) -> SimResult:
-    model, n, shaped = r.model, r.n, r.shaped
-    Jeinv = np.linalg.inv(shaped.J_e)
-    Ke, De = shaped.K_e, shaped.D_e
-    outer = sc.outer
-    signal = sc.input
-
-    def field(t, xa):
-        q = xa[:n]
-        phi = xa[n:2 * n]
-        p = xa[2 * n:3 * n]
-        z = xa[3 * n:4 * n]
-        u = signal.torque(t, n)
-        qdot = np.linalg.solve(model.mass_of(q), p)
-        phidot = Jeinv @ z
-        elastic = Ke @ (phi - q) + De @ (phidot - qdot)
-        if outer is not None:
-            tau_u = -outer.K_phi @ (phi - outer.phi_d) - outer.D_phi @ phidot
-            if outer.gravity_comp:
-                tau_u = tau_u + model.gravity_grad_of(phi)
-        else:
-            tau_u = np.zeros(n)
-        out = np.empty(4 * n + 1)
-        out[:n] = qdot
-        out[n:2 * n] = phidot
-        out[2 * n:3 * n] = (-model.gravity_grad_of(q) - model.kinetic_grad(q, p)
-                            + elastic + u)
-        out[3 * n:4 * n] = -elastic + tau_u
-        out[4 * n] = qdot @ u + phidot @ tau_u
-        return out
-
-    y0 = to_closed(r.x0, shaped, model)
-    xa0 = np.concatenate([y0.pack(), [0.0]])
-    X = _rk4_loop(field, xa0, r.dt, r.nsteps)
-    t = r.dt * np.arange(r.nsteps + 1)
-    states = X[:, :4 * n]
-    supply = X[:, 4 * n]
-    q, phi, p, z = (states[:, i * n:(i + 1) * n] for i in range(4))
-    tau_e = signal.torque_series(t, n)
-
-    npts = t.shape[0]
-    theta = np.empty((npts, n))
-    s = np.empty((npts, n))
-    tau_u = np.empty((npts, n))
-    tau = np.empty((npts, n))
-    H = np.empty(npts)
-    Jinv = np.linalg.inv(model.J)
-    A_ = model.J @ np.linalg.solve(model.K, Ke - model.K)
-    for k in range(npts):
-        y = ClosedLoopState(q[k], phi[k], p[k], z[k])
-        x = from_closed(y, shaped, model)
-        theta[k] = x.theta
-        s[k] = x.s
-        Mq = model.mass_of(q[k])
-        qdot = np.linalg.solve(Mq, p[k])
-        phidot = Jeinv @ z[k]
-        if outer is not None:
-            tau_u[k] = outer_loop_torque(phi[k], phidot, outer, model)
-        else:
-            tau_u[k] = 0.0
-        thdot = Jinv @ x.s
-        tau_a = model.K @ (x.theta - q[k]) + model.D @ (thdot - qdot)
-        cor = model.coriolis_of(q[k], qdot) @ qdot
-        tau[k] = (-A_ @ np.linalg.solve(Mq, tau_e[k] + tau_a - cor
-                                        - model.gravity_grad_of(q[k]))
-                  + tau_a + r.gains.K_H @ (tau_u[k] - tau_a))
-        defl = phi[k] - q[k]
-        H[k] = (0.5 * p[k] @ qdot + 0.5 * z[k] @ phidot
-                + 0.5 * defl @ Ke @ defl + model.potential_of(q[k]))
-    return SimResult(t, q, p, theta, s, phi, z, tau, tau_e, tau_u, H, supply,
-                     chart="closed", dt=r.dt)
-
-
-# ---------------------------------------------------------------------------
-# coupled chart
-# ---------------------------------------------------------------------------
 
 def simulate_coupled(sc: Scenario) -> SimResult:
     """Integrate the shaped loop coupled to the environment.
@@ -695,72 +343,206 @@ def simulate_coupled(sc: Scenario) -> SimResult:
         raise ValidationError("simulate_coupled requires an environment")
     if not isinstance(sc.plant, LinearRobotParams):
         raise ValidationError("environment coupling is implemented for constant-mass plants")
-    r = _resolve(sc, need_controller=True)
-    model, n, shaped, env = r.model, r.n, r.shaped, sc.environment
-    M = model.mass_of(np.zeros(n))
-    Mt = M + env.M_h
-    Mtinv = np.linalg.inv(Mt)
-    Jeinv = np.linalg.inv(shaped.J_e)
-    Z = np.zeros((n, n))
-    Ke, De = shaped.K_e, shaped.D_e
-    A = np.block([
-        [Z, Z, Mtinv, Z],
-        [Z, Z, Z, Jeinv],
-        [-Ke - env.K_h, Ke, -(De + env.D_h) @ Mtinv, De @ Jeinv],
-        [Ke, -Ke, De @ Mtinv, -De @ Jeinv],
-    ])
-    const = np.zeros(4 * n)
-    if sc.outer is not None:
-        A[3 * n:, n:2 * n] -= sc.outer.K_phi
-        A[3 * n:, 3 * n:] -= sc.outer.D_phi @ Jeinv
-        const[3 * n:] = sc.outer.K_phi @ sc.outer.phi_d
-        Tu = np.hstack([Z, -sc.outer.K_phi, Z, -sc.outer.D_phi @ Jeinv])
-        tu_const = sc.outer.K_phi @ sc.outer.phi_d
+    return _simulate(sc, _resolve(sc, need_controller=True), "coupled")
+
+
+def _simulate(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
+    result = (_simulate_linear if r.linear_fast else _simulate_varying)(sc, r, chart)
+    if sc.controller is None:       # the bare plant has no shaped coordinates
+        result.phi = result.z = result.tau_u = None
+    return result
+
+
+def _quad(v: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """v^T K v of one vector, or of each row of a sample matrix."""
+    return np.vecdot(v, v @ K.T)
+
+
+def _storage(q, p, qdot, phi, z, phidot, K_e):
+    """Shaped storage without the gravity potential, of one state or of
+    each sample row; the identity shaping gives the plant energy."""
+    return 0.5 * (np.vecdot(p, qdot) + np.vecdot(z, phidot) + _quad(phi - q, K_e))
+
+
+def _simulate_linear(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
+    """Any constant-mass chart as x' = A x + B u + c.
+
+    ``(A, B)`` come from ``lti`` and the set-point constant c is added
+    here.  Every series is an affine function of w = (x, u, 1), written
+    once as a block of rows acting on w: the RK4 field evaluates it on one
+    state and the reconstruction on all samples.  The supply rate is the
+    quadratic form w . (Q w), so one field evaluation is one matrix-vector
+    product and one dot product.
+    """
+    plant, n, shaped, outer, env = sc.plant, r.n, r.shaped, sc.outer, sc.environment
+    m, dim = 4 * n, 5 * n + 1
+
+    def on_w(x_rows, u_rows=0.0, const=0.0):
+        rows = np.zeros((x_rows.shape[0], dim))
+        rows[:, :m] = x_rows
+        rows[:, m:-1] = u_rows
+        rows[:, -1] = const
+        return rows
+
+    loop = assemble_plant_loop(plant, r.gains, outer)
+    # T maps the plant state (q, theta, p, s) to the shaped one (q, phi, p, z)
+    T = np.eye(m)
+    T[n:2 * n] = loop.C[n:2 * n]
+    T[3 * n:] = shaped.J_e @ loop.C[2 * n:3 * n]
+    set_point = outer.K_phi @ outer.phi_d if outer is not None else np.zeros(n)
+    # S maps the chart state to the shaped state, X to the plant state
+    if chart == "open":
+        ss, S, X = loop, T, np.eye(m)
+        c = loop.B[:, n:] @ set_point
     else:
-        Tu = np.zeros((n, 4 * n))
-        tu_const = np.zeros(n)
-    B = np.vstack([np.zeros((2 * n, n)), np.eye(n), np.zeros((n, n))])
+        S = np.eye(m)
+        if chart == "closed":
+            ss = assemble_closed_loop(plant, shaped, outer)
+        else:       # merged momentum (M + M_h) q' -> robot momentum M q'
+            ss = assemble_coupled(plant, shaped, env, outer)
+            S[2 * n:3 * n, 2 * n:3 * n] = plant.M @ np.linalg.inv(plant.M + env.M_h)
+        c = np.concatenate([np.zeros(3 * n), set_point])
+        X = np.linalg.solve(T, S)
+
+    G = on_w(ss.A, ss.B[:, :n], c)                      # x' = G w
+    u_w = on_w(np.zeros((n, m)), np.eye(n))
+    set_point_w = on_w(np.zeros((n, m)), const=set_point)
+    qdot_w = G[:n]
+    phidot_w = S[n:2 * n] @ G
+    tau_u_w = np.zeros((n, dim))
+    if outer is not None:
+        tau_u_w = set_point_w - outer.K_phi @ on_w(S[n:2 * n]) - outer.D_phi @ phidot_w
+    if chart == "coupled":
+        # port torque M q'' - tau_a, the transmission torque read off the
+        # motor equation z' = -tau_a + tau_u; only the exogenous port power
+        # enters the supply, the outer-loop spring is part of the storage
+        tau_e_w = S[2 * n:3 * n] @ G + G[3 * n:] - tau_u_w
+        Q = qdot_w.T @ u_w
+    else:
+        tau_e_w = u_w
+        Q = qdot_w.T @ u_w + phidot_w.T @ tau_u_w
+    tau_w = (loop.C[3 * n:] @ on_w(X) + loop.Dmat[3 * n:, :n] @ tau_e_w
+             + loop.Dmat[3 * n:, n:] @ set_point_w)
+
+    F = np.vstack([G, Q])
+    w = np.zeros(dim)
+    w[-1] = 1.0
     signal = sc.input
 
     def field(t, xa):
-        x = xa[:4 * n]
-        u = signal.torque(t, n)
-        dx = A @ x + B @ u + const
-        out = np.empty(4 * n + 1)
-        out[:4 * n] = dx
-        out[4 * n] = dx[:n] @ u      # exogenous port power only
-        return out
+        w[:m] = xa[:m]
+        w[m:-1] = signal.torque(t, n)
+        y = F @ w
+        y[m] = y[m:] @ w
+        return y[:m + 1]
 
-    # initial condition: velocities carry over, momenta use the merged mass
-    qdot0 = np.linalg.solve(M, r.x0.p)
-    y0 = to_closed(r.x0, shaped, model)
-    xa0 = np.concatenate([y0.q, y0.phi, Mt @ qdot0, y0.z, [0.0]])
-    X = _rk4_loop(field, xa0, r.dt, r.nsteps)
+    x0 = r.x0.pack() if chart == "open" else np.linalg.solve(S, T @ r.x0.pack())
+    states = _rk4_loop(field, np.append(x0, 0.0), r.dt, r.nsteps)
+    t = r.dt * np.arange(r.nsteps + 1)
+    W = np.hstack([states[:, :m], signal.torque_series(t, n), np.ones((t.shape[0], 1))])
+    rows = np.vstack([on_w(S), on_w(X[n:2 * n]), on_w(X[3 * n:]),
+                      qdot_w, phidot_w, tau_u_w, tau_e_w, tau_w])
+    q, phi, p, z, theta, s, qdot, phidot, tau_u, tau_e, tau = np.split(W @ rows.T, 11, axis=1)
+    H = _storage(q, p, qdot, phi, z, phidot, shaped.K_e)
+    if chart == "coupled":
+        theta = s = None
+        H = H + 0.5 * (_quad(qdot, env.M_h) + _quad(q, env.K_h))
+        if outer is not None:
+            H = H + 0.5 * _quad(phi - outer.phi_d, outer.K_phi)
+    return SimResult(t, q, p, theta, s, phi, z, tau, tau_e, tau_u, H, states[:, m],
+                     chart=chart, dt=r.dt)
+
+
+def _simulate_varying(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
+    """Either chart of a plant with a configuration-dependent mass matrix.
+
+    ``terms`` holds the plant chart's per-state terms (velocities, joint
+    torque, shaped coordinates, outer-loop and control torques).  It
+    makes the plant chart's RK4 field and, per sample, gives the
+    reconstructed series of both charts.
+    """
+    model, n, shaped, outer, signal = r.model, r.n, r.shaped, sc.outer, sc.input
+    K, D, J_e, K_e, D_e = model.K, model.D, shaped.J_e, shaped.K_e, shaped.D_e
+    K_H = r.gains.K_H
+    Jinv = np.linalg.inv(model.J)
+    Jeinv = np.linalg.inv(J_e)
+    Keinv = np.linalg.inv(K_e)
+    KeK = Keinv @ (K_e - K)         # phi = KeK q + KeKth theta
+    KeKth = Keinv @ K
+    A_ = model.J @ np.linalg.solve(K, K_e - K)     # K_F(q) v = -A_ M(q)^-1 v
+    bare = sc.controller is None
+    zero = np.zeros(n)
+    zero.setflags(write=False)
+
+    def outer_torque(phi, phidot):
+        if outer is None:
+            return zero
+        tau_u = -outer.K_phi @ (phi - outer.phi_d) - outer.D_phi @ phidot
+        if outer.gravity_comp:
+            tau_u = tau_u + model.gravity_grad_of(phi)
+        return tau_u
+
+    def terms(x, u):
+        q, theta, p, s = x[:n], x[n:2 * n], x[2 * n:3 * n], x[3 * n:4 * n]
+        Mq = model.mass_of(q)
+        qdot = np.linalg.solve(Mq, p)
+        thdot = Jinv @ s
+        tau_a = K @ (theta - q) + D @ (thdot - qdot)
+        grad_v = model.gravity_grad_of(q)
+        if bare:        # the identity shaping: phi = theta, no control torque
+            return qdot, thdot, tau_a, grad_v, theta, thdot, zero, zero
+        phi = KeK @ q + KeKth @ theta
+        phidot = KeK @ qdot + KeKth @ thdot
+        tau_u = outer_torque(phi, phidot)
+        cor = model.coriolis_of(q, qdot) @ qdot
+        tau = (-A_ @ np.linalg.solve(Mq, u + tau_a - cor - grad_v)
+               + tau_a + K_H @ (tau_u - tau_a))
+        return qdot, thdot, tau_a, grad_v, phi, phidot, tau_u, tau
+
+    def plant_field(t, xa):
+        u = signal.torque(t, n)
+        qdot, thdot, tau_a, grad_v, _, phidot, tau_u, tau = terms(xa, u)
+        dp = -grad_v - model.kinetic_grad(xa[:n], xa[2 * n:3 * n]) + tau_a + u
+        return np.concatenate([qdot, thdot, dp, tau - tau_a, [qdot @ u + phidot @ tau_u]])
+
+    def closed_field(t, ya):
+        u = signal.torque(t, n)
+        q, phi, p, z = ya[:n], ya[n:2 * n], ya[2 * n:3 * n], ya[3 * n:4 * n]
+        qdot = np.linalg.solve(model.mass_of(q), p)
+        phidot = Jeinv @ z
+        elastic = K_e @ (phi - q) + D_e @ (phidot - qdot)
+        tau_u = outer_torque(phi, phidot)
+        dp = -model.gravity_grad_of(q) - model.kinetic_grad(q, p) + elastic + u
+        return np.concatenate([qdot, phidot, dp, tau_u - elastic, [qdot @ u + phidot @ tau_u]])
+
+    if chart == "open":
+        field, x0 = plant_field, r.x0.pack()
+    else:
+        field, x0 = closed_field, to_closed(r.x0, shaped, model).pack()
+    X = _rk4_loop(field, np.append(x0, 0.0), r.dt, r.nsteps)
     t = r.dt * np.arange(r.nsteps + 1)
     states = X[:, :4 * n]
-    supply = X[:, 4 * n]
-    q, phi, pm, z = (states[:, i * n:(i + 1) * n] for i in range(4))
-    tau_ext = signal.torque_series(t, n)
+    tau_e = signal.torque_series(t, n)
+    if chart == "open":
+        plant_states = states
+    else:
+        plant_states = np.array([
+            from_closed(ClosedLoopState.unpack(y, n), shaped, model).pack() for y in states])
 
-    qdot = pm @ Mtinv.T
-    phidot = z @ Jeinv.T
-    elastic = (phi - q) @ Ke.T + (phidot - qdot) @ De.T
-    tau_u = states @ Tu.T + tu_const
-    qddot = (elastic - qdot @ env.D_h.T - q @ env.K_h.T + tau_ext) @ Mtinv.T
-    tau_e = qddot @ M.T - elastic          # total torque at the interaction port
-    p_robot = qdot @ M.T
-    tau = tau_e @ r.gains.K_F.T - elastic @ r.gains.K_G.T + tau_u @ r.gains.K_H.T
-
-    defl = phi - q
-    H = (0.5 * np.einsum("ij,jk,ik->i", pm, Mtinv, pm)
-         + 0.5 * np.einsum("ij,jk,ik->i", z, Jeinv, z)
-         + 0.5 * np.einsum("ij,jk,ik->i", defl, Ke, defl)
-         + 0.5 * np.einsum("ij,jk,ik->i", q, env.K_h, q))
-    if sc.outer is not None:
-        offs = phi - sc.outer.phi_d
-        H = H + 0.5 * np.einsum("ij,jk,ik->i", offs, sc.outer.K_phi, offs)
-    return SimResult(t, q, p_robot, None, None, phi, z, tau, tau_e, tau_u, H, supply,
-                     chart="coupled", dt=r.dt)
+    npts = t.shape[0]
+    phi, z, tau_u, tau = (np.empty((npts, n)) for _ in range(4))
+    H = np.empty(npts)
+    for k in range(npts):
+        x = plant_states[k]
+        q, p = x[:n], x[2 * n:3 * n]
+        qdot, _, _, _, phi[k], phidot, tau_u[k], tau[k] = terms(x, tau_e[k])
+        z[k] = J_e @ phidot
+        H[k] = _storage(q, p, qdot, phi[k], z[k], phidot, K_e) + model.potential_of(q)
+    if chart == "closed":
+        phi, z = states[:, n:2 * n], states[:, 3 * n:]
+    q, theta, p, s = np.split(plant_states, 4, axis=1)
+    return SimResult(t, q, p, theta, s, phi, z, tau, tau_e, tau_u, H, X[:, 4 * n],
+                     chart=chart, dt=r.dt)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import rand_spd
+from conftest import rand_admissible_shaping, rand_plant, rand_spd
 from flexjoint import (
     AssemblyError,
     EnvironmentImpedance,
+    ImpedanceGains,
     NotApplicableError,
     OuterLoop,
     RationalTF,
@@ -14,12 +15,14 @@ from flexjoint import (
     admittance_1dof,
     assemble_closed_loop,
     assemble_coupled,
+    assemble_plant_loop,
     env_impedance_tf,
     freq_response,
     poles_zeros,
     positive_real_check,
     recover_shaped,
     ss_to_tf,
+    synthesize_gains,
     target_admittance,
 )
 from flexjoint.lti import evaluate
@@ -62,6 +65,31 @@ class TestAssembleClosedLoop:
         sp = ShapedParams(np.eye(2), 2.0 * demo_arm.K, np.zeros((2, 2)))
         with pytest.raises(ValidationError):
             assemble_closed_loop(demo_arm, sp)
+
+
+class TestAssemblePlantLoop:
+    def test_identity_gains_give_open_loop(self, paper_plant):
+        g = ImpedanceGains(0.0, 0.0, 1.0)
+        ss = assemble_plant_loop(paper_plant, g)
+        assert np.allclose(ss.A, open_loop_matrix(paper_plant), rtol=1e-14, atol=0.0)
+
+    def test_response_matches_shaped_loop(self):
+        # built from the gains alone, the plant chart must realize the same
+        # port admittance as the shaped chart
+        rng = np.random.default_rng(7)
+        plant = rand_plant(rng, 2)
+        g, sp = synthesize_gains(plant, *rand_admissible_shaping(rng, plant))
+        outer = OuterLoop(rand_spd(rng, 2, 50.0, 200.0), rand_spd(rng, 2, 5.0, 20.0))
+        plant_ss = assemble_plant_loop(plant, g, outer)
+        closed_ss = assemble_closed_loop(plant, sp, outer)
+        svals = 1j * np.logspace(-1, 3, 25)
+        for i in range(2):
+            for j in range(2):
+                a = evaluate(StateSpace(plant_ss.A, plant_ss.B[:, j:j + 1], plant_ss.C[i:i + 1],
+                                        np.zeros((1, 1))), svals)
+                b = evaluate(StateSpace(closed_ss.A, closed_ss.B[:, j:j + 1],
+                                        closed_ss.C[i:i + 1], np.zeros((1, 1))), svals)
+                assert np.max(np.abs(a - b)) <= 1e-8 * np.max(np.abs(b))
 
 
 class TestAssembleCoupled:

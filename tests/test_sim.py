@@ -10,8 +10,11 @@ from flexjoint import (
     OuterLoop,
     Scenario,
     ValidationError,
+    gains_at,
     integrate,
     l2_distance,
+    linear_control,
+    nonlinear_control,
     passivity_audit,
     recover_shaped,
     simulate_closed_form,
@@ -75,12 +78,6 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError):
             simulate_plant_with_controller(sc)
 
-    def test_linear_law_rejected_on_varying_mass(self, demo_arm):
-        sp = synthesize_gains(demo_arm, np.eye(2), 2.0 * demo_arm.K)[1]
-        sc = Scenario(plant=demo_arm, controller=sp, law="linear", T=0.01, dt=1e-5)
-        with pytest.raises(ValidationError):
-            simulate_plant_with_controller(sc)
-
 
 class TestPlantSimulation:
     def test_equilibrium_stays_stationary(self, paper_plant):
@@ -106,6 +103,35 @@ class TestPlantSimulation:
         assert np.array_equal(a.q, b.q) and np.array_equal(a.H, b.H)
 
 
+class TestControlLaw:
+    def test_recorded_torque_is_the_reference_law(self, paper_plant, gravity_arm):
+        # outer loop with a set-point, gravity and a moving start exercise
+        # every term of the law
+        x0 = OpenLoopState.from_velocities([0.3, -0.4], [0.3, -0.4], [0.5, -0.5],
+                                           np.zeros(2), gravity_arm)
+        arm_sp = synthesize_gains(gravity_arm, 0.5 * np.eye(2), 2.0 * gravity_arm.K)[1]
+        arm_outer = OuterLoop(50.0 * np.eye(2), 5.0 * np.eye(2), phi_d=[0.1, -0.1],
+                              gravity_comp=True)
+        paper_sp = recover_shaped(paper_plant, 0.9, 4.0)
+        cases = [
+            (Scenario(plant=gravity_arm, controller=arm_sp, outer=arm_outer, x0=x0,
+                      input=InputSignal.step(1.0, joint=1), T=0.005, dt=5e-5),
+             arm_sp, nonlinear_control),
+            (Scenario(plant=paper_plant, controller=paper_sp,
+                      outer=OuterLoop(100.0, 10.0, phi_d=0.02),
+                      x0=OpenLoopState(1e-3, 0.0, 0.1, 0.0),
+                      input=InputSignal.sinusoid(5.0, 30.0), T=0.005, dt=2e-5),
+             paper_sp, linear_control),
+        ]
+        for sc, sp, law in cases:
+            r = simulate_plant_with_controller(sc)
+            for k in range(len(r.t)):
+                x = OpenLoopState(r.q[k], r.theta[k], r.p[k], r.s[k])
+                ref = law(x, r.tau_e[k], r.tau_u[k], gains_at(sc.plant, sp, r.q[k]), sc.plant)
+                np.testing.assert_allclose(r.tau[k], ref, rtol=1e-9,
+                                           atol=1e-9 * np.max(np.abs(r.tau)))
+
+
 class TestClosedFormEquivalence:
     def test_identity_shaping_reproduces_plant(self, paper_plant):
         sp = synthesize_gains(paper_plant, paper_plant.J, paper_plant.K)[1]
@@ -123,7 +149,7 @@ class TestClosedFormEquivalence:
                       input=InputSignal.step(1.0), T=0.2, dt=2e-5)
         a = simulate_plant_with_controller(sc)
         b = simulate_closed_form(sc)
-        for name in ("q", "p", "phi", "z"):
+        for name in ("q", "p", "phi", "z", "theta", "s", "tau", "tau_u", "H", "supply"):
             sa, sb = getattr(a, name), getattr(b, name)
             scale = max(np.max(np.abs(sa)), 1e-12)
             assert np.max(np.abs(sa - sb)) <= 1e-6 * scale
@@ -137,7 +163,7 @@ class TestClosedFormEquivalence:
                       input=InputSignal.step(1.0, joint=1), T=0.25, dt=5e-5)
         a = simulate_plant_with_controller(sc)
         b = simulate_closed_form(sc)
-        for name in ("q", "p", "phi", "z", "theta", "s"):
+        for name in ("q", "p", "phi", "z", "theta", "s", "tau", "tau_u", "H", "supply"):
             sa, sb = getattr(a, name), getattr(b, name)
             scale = max(np.max(np.abs(sa)), 1e-12)
             assert np.max(np.abs(sa - sb)) <= 1e-6 * scale
@@ -249,11 +275,14 @@ class TestSupplyAccounting:
         from flexjoint import LinearRobotParams
         plant = LinearRobotParams(n=1, M=3.0, J=3.0, K=1e6, D=0.0)
         sp = synthesize_gains(plant, 1.5, 5e5)[1]
-        sc = Scenario(plant=plant, controller=sp,
-                      input=InputSignal.sinusoid(5.0, 30.0), T=0.5, dt=2e-5)
-        r = simulate_plant_with_controller(sc)
-        scale = max(np.max(r.H), 1e-12)
-        assert np.max(np.abs(r.passivity_residual)) <= 1e-7 * scale
+        # an undamped outer loop supplies phi' . tau_u, the work of its spring
+        for outer in (None, OuterLoop(100.0, 0.0, phi_d=0.01)):
+            sc = Scenario(plant=plant, controller=sp, outer=outer,
+                          input=InputSignal.sinusoid(5.0, 30.0), T=0.5, dt=2e-5)
+            for simulate in (simulate_plant_with_controller, simulate_closed_form):
+                r = simulate(sc)
+                scale = max(np.max(r.H), 1e-12)
+                assert np.max(np.abs(r.passivity_residual)) <= 1e-7 * scale
 
 
 class TestOuterLoopSetpoint:
@@ -267,13 +296,3 @@ class TestOuterLoopSetpoint:
         assert r.phi[-1, 0] == pytest.approx(0.02, rel=2e-2)
         assert r.q[-1, 0] == pytest.approx(0.02, rel=2e-2)
         assert abs(r.phi[-1, 0] - 0.02) < abs(r.phi[len(r.t) // 4, 0] - 0.02) + 1e-6
-
-    def test_explicit_shaped_override(self, paper_plant):
-        sp = recover_shaped(paper_plant, 0.9, 4.0)
-        sc = Scenario(plant=paper_plant, controller=sp,
-                      input=InputSignal.step(1.0), T=0.05, dt=2e-5)
-        a = simulate_closed_form(sc)
-        b = simulate_closed_form(Scenario(plant=paper_plant,
-                                          input=InputSignal.step(1.0),
-                                          T=0.05, dt=2e-5), sp=sp)
-        assert np.array_equal(a.q, b.q)
