@@ -31,7 +31,6 @@ from . import __version__
 from .config import (
     ExperimentConfig,
     GainPair,
-    ShapedPair,
     build_controller_spec,
     build_environment,
     build_input,
@@ -51,9 +50,6 @@ from .errors import (
     ConfigurationError,
     DivergenceError,
     FlexJointError,
-    NotApplicableError,
-    ShapingInfeasibleError,
-    ValidationError,
 )
 from .linalg import as_matrix
 from .lti import (
@@ -124,10 +120,35 @@ def _gain_combos(cfg: ExperimentConfig):
     return [(float(kf), float(kg)) for kf in kf_list for kg in kg_list]
 
 
-def _require_linear_1dof(plant) -> LinearRobotParams:
+def _controller(cfg: ExperimentConfig, plant, je_value: float | None = None):
+    """Gains and shaped parameters of the [controller] section, with
+    ``J_e = je_value I`` when given; ``(None, None)`` without one."""
+    spec = build_controller_spec(cfg)
+    n = plant.n
+    if spec is None:
+        return None, None
+    if isinstance(spec, GainPair):
+        if je_value is not None:
+            raise ConfigurationError("a J_e sweep requires a shaped-parameter controller")
+        shaped = recover_shaped(plant, as_matrix(np.array(spec.K_F), n, "K_F"),
+                                as_matrix(np.array(spec.K_G), n, "K_G"))
+        J_e, K_e = shaped.J_e, shaped.K_e
+    else:
+        J_e = as_matrix(np.array(spec.J_e if je_value is None else je_value), n, "J_e")
+        K_e = as_matrix(np.array(spec.K_e), n, "K_e")
+    return synthesize_gains(plant, J_e, K_e)
+
+
+def _gain_study(cfg: ExperimentConfig, study: str):
+    """Plant, outer loop, (K_F, K_G) grid and target admittance of a
+    single-joint gain study."""
+    plant = build_plant(cfg)
     if not isinstance(plant, LinearRobotParams) or plant.n != 1:
         raise ConfigurationError("this study requires a single-joint constant-mass plant")
-    return plant
+    target = build_target(cfg)
+    if target is None:
+        raise ConfigurationError(f"[target] section is required for the {study} study")
+    return plant, build_outer_loop(cfg, 1), _gain_combos(cfg), target_admittance(target)
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +158,10 @@ def _require_linear_1dof(plant) -> LinearRobotParams:
 def run_synth(cfg: ExperimentConfig, out: Path | None = None) -> dict:
     """Report both controller parametrizations and admissibility."""
     plant = build_plant(cfg)
-    spec = build_controller_spec(cfg)
-    if spec is None:
+    gains, shaped = _controller(cfg, plant)
+    if gains is None:
         raise ConfigurationError("[controller] section is required for synth")
     n = plant.n
-    if isinstance(spec, GainPair):
-        shaped = recover_shaped(plant, as_matrix(np.array(spec.K_F), n, "K_F"),
-                                as_matrix(np.array(spec.K_G), n, "K_G"))
-        gains, shaped = synthesize_gains(plant, shaped.J_e, shaped.K_e)
-    else:
-        gains, shaped = synthesize_gains(plant, as_matrix(np.array(spec.J_e), n, "J_e"),
-                                         as_matrix(np.array(spec.K_e), n, "K_e"))
 
     lines = ["gains:"]
     for name, mat in (("K_F", gains.K_F), ("K_G", gains.K_G), ("K_H", gains.K_H)):
@@ -182,15 +196,8 @@ def run_bode(cfg: ExperimentConfig, outdir: Path, grid_points: int = 400):
     err_db is the system's max magnitude deviation from the target
     admittance over the grid (0 for the target itself).
     """
-    plant = _require_linear_1dof(build_plant(cfg))
-    target = build_target(cfg)
-    if target is None:
-        raise ConfigurationError("[target] section is required for the bode study")
-    outer = build_outer_loop(cfg, plant.n)
-    combos = _gain_combos(cfg)
+    plant, outer, combos, tf_target = _gain_study(cfg, "bode")
     grid = np.logspace(-2, 3, grid_points)
-
-    tf_target = target_admittance(target)
     mag_target, phase_target = freq_response(tf_target, grid)
 
     rows = []
@@ -229,14 +236,7 @@ def run_pzmap(cfg: ExperimentConfig, outdir: Path):
     distance from the system's dominant pole to the target's dominant
     pole (0 for the target itself).
     """
-    plant = _require_linear_1dof(build_plant(cfg))
-    target = build_target(cfg)
-    if target is None:
-        raise ConfigurationError("[target] section is required for the pole-zero study")
-    outer = build_outer_loop(cfg, plant.n)
-    combos = _gain_combos(cfg)
-
-    tf_target = target_admittance(target)
+    plant, outer, combos, tf_target = _gain_study(cfg, "pole-zero")
     target_poles, target_zeros = poles_zeros(tf_target)
     dom_target = _dominant_pole(target_poles, skip_origin=False)
 
@@ -278,20 +278,10 @@ def _result_rows(result):
 
     phi = result.phi if result.phi is not None else result.theta
     z = result.z if result.z is not None else result.s
-    phi = phi if phi is not None else np.zeros_like(result.q)
-    z = z if z is not None else np.zeros_like(result.q)
-    tau = result.tau if result.tau is not None else np.zeros_like(result.q)
-    tau_u = result.tau_u if result.tau_u is not None else np.zeros_like(result.q)
-    residual = result.passivity_residual
-
-    rows = []
-    for k in range(result.t.shape[0]):
-        row = [result.t[k]]
-        for series in (result.q, phi, result.p, z, tau, result.tau_e, tau_u):
-            row.extend(series[k])
-        row.extend((result.H[k], result.supply[k], residual[k]))
-        rows.append(tuple(row))
-    return header, rows
+    columns = [result.t, result.q, phi, result.p, z, result.tau, result.tau_e, result.tau_u,
+               result.H, result.supply, result.passivity_residual]
+    zeros = np.zeros_like(result.q)
+    return header, np.column_stack([c if c is not None else zeros for c in columns]).tolist()
 
 
 def run_simulate(cfg: ExperimentConfig, outdir: Path, dt: float | None = None,
@@ -306,7 +296,6 @@ def run_simulate(cfg: ExperimentConfig, outdir: Path, dt: float | None = None,
     """
     plant = build_plant(cfg)
     n = plant.n
-    spec = build_controller_spec(cfg)
     outer = build_outer_loop(cfg, n)
     environment = build_environment(cfg, n)
     signal = build_input(cfg)
@@ -314,31 +303,15 @@ def run_simulate(cfg: ExperimentConfig, outdir: Path, dt: float | None = None,
     sim_T = horizon if horizon is not None else cfg.sim.get("T", 1.0)
     target_spec = build_nonlinear_target(cfg, n)
 
-    def controller_for(je_value: float | None):
-        if spec is None:
-            return None
-        if isinstance(spec, GainPair):
-            if je_value is not None:
-                raise ConfigurationError("a J_e sweep requires a shaped-parameter controller")
-            shaped = recover_shaped(plant, as_matrix(np.array(spec.K_F), n, "K_F"),
-                                    as_matrix(np.array(spec.K_G), n, "K_G"))
-            return shaped
-        J_e = as_matrix(np.array(spec.J_e if je_value is None else je_value), n, "J_e")
-        K_e = as_matrix(np.array(spec.K_e), n, "K_e")
-        return synthesize_gains(plant, J_e, K_e)[1]
-
     je_sweep = cfg.sweep.get("J_e")
     runs = [(None, "sim")] if je_sweep is None else [
         (float(v), f"sim_je{i + 1}") for i, v in enumerate(je_sweep)]
-
-    def execute(je_value, label):
-        sc = Scenario(plant=plant, controller=controller_for(je_value), outer=outer,
+    simulate = simulate_coupled if environment is not None else simulate_plant_with_controller
+    results = []
+    for je_value, label in runs:
+        sc = Scenario(plant=plant, controller=_controller(cfg, plant, je_value)[1], outer=outer,
                       environment=environment, input=signal, T=float(sim_T), dt=sim_dt)
-        if environment is not None:
-            return label, je_value, simulate_coupled(sc)
-        return label, je_value, simulate_plant_with_controller(sc)
-
-    results = [execute(je_value, label) for je_value, label in runs]
+        results.append((label, je_value, simulate(sc)))
 
     target_result = None
     if target_spec is not None:
@@ -346,8 +319,7 @@ def run_simulate(cfg: ExperimentConfig, outdir: Path, dt: float | None = None,
         ref_dt = results[0][2].dt
         target_result = simulate_target_dynamics(plant, K_theta, D_theta, q_d, signal,
                                                  float(sim_T), ref_dt)
-        rows = [(target_result.t[k], *target_result.q[k], *target_result.qdot[k])
-                for k in range(target_result.t.shape[0])]
+        rows = np.column_stack([target_result.t, target_result.q, target_result.qdot]).tolist()
         header = ["t"] + [f"q_{i + 1}" for i in range(n)] + [f"qdot_{i + 1}" for i in range(n)]
         write_csv(outdir / "sim_target.csv", header, rows)
 
@@ -386,19 +358,12 @@ def run_verify(cfg: ExperimentConfig, seed: int = 0):
     rng = np.random.default_rng(seed)
     plant = build_plant(cfg)
     n = plant.n
-    spec = build_controller_spec(cfg)
     outer = build_outer_loop(cfg, n)
     signal = build_input(cfg)
     checks = []
 
-    if isinstance(spec, GainPair):
-        shaped = recover_shaped(plant, as_matrix(np.array(spec.K_F), n, "K_F"),
-                                as_matrix(np.array(spec.K_G), n, "K_G"))
-        gains, shaped = synthesize_gains(plant, shaped.J_e, shaped.K_e)
-    elif isinstance(spec, ShapedPair):
-        gains, shaped = synthesize_gains(plant, as_matrix(np.array(spec.J_e), n, "J_e"),
-                                         as_matrix(np.array(spec.K_e), n, "K_e"))
-    else:
+    gains, shaped = _controller(cfg, plant)
+    if gains is None:
         raise ConfigurationError("[controller] section is required for verify")
 
     checks.append(("gain_consistency", gain_consistency_error(gains), 1e-9))
@@ -650,11 +615,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigurationError, ValidationError, ShapingInfeasibleError,
-            NotApplicableError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except FlexJointError as exc:
+    except (FlexJointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK

@@ -41,6 +41,8 @@ from .errors import (
 from .linalg import (
     as_matrix,
     as_vector,
+    freeze,
+    matvec,
     min_eigenvalue_sym,
     require_psd,
     require_spd,
@@ -63,10 +65,7 @@ class ShapedParams:
 
     def __post_init__(self):
         n = np.atleast_2d(np.asarray(self.J_e, dtype=float)).shape[0]
-        for name in ("J_e", "K_e", "D_e"):
-            mat = as_matrix(getattr(self, name), n, name)
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
+        freeze(self, ("J_e", "K_e", "D_e"), n)
         require_spd(self.J_e, "J_e", ShapingInfeasibleError)
         require_spd(self.K_e, "K_e", ShapingInfeasibleError)
         if symmetry_error(self.D_e) > DE_SYMMETRY_RTOL * max(float(np.max(np.abs(self.D_e))), 1.0):
@@ -95,10 +94,7 @@ class ImpedanceGains:
 
     def __post_init__(self):
         n = np.atleast_2d(np.asarray(self.K_F, dtype=float)).shape[0]
-        for name in ("K_F", "K_G", "K_H"):
-            mat = as_matrix(getattr(self, name), n, name)
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
+        freeze(self, ("K_F", "K_G", "K_H"), n)
 
     @property
     def n(self) -> int:
@@ -116,15 +112,10 @@ class OuterLoop:
 
     def __post_init__(self):
         n = np.atleast_2d(np.asarray(self.K_phi, dtype=float)).shape[0]
-        for name in ("K_phi", "D_phi"):
-            mat = as_matrix(getattr(self, name), n, name)
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
+        freeze(self, ("K_phi", "D_phi"), n)
         require_psd(self.K_phi, "K_phi")
         require_psd(self.D_phi, "D_phi")
-        vec = as_vector(self.phi_d, n, "phi_d")
-        vec.setflags(write=False)
-        object.__setattr__(self, "phi_d", vec)
+        freeze(self, ("phi_d",), n, as_vector)
 
     @property
     def n(self) -> int:
@@ -173,10 +164,21 @@ def synthesize_gains(m: RobotModel, J_e, K_e, q_ref=None):
     shaped = ShapedParams(J_e, K_e, D_e)
 
     JKinv = model.J @ np.linalg.inv(model.K)
-    K_F = -JKinv @ (K_e - model.K) @ np.linalg.inv(M)
     K_H = JKinv @ K_e @ np.linalg.inv(J_e)
-    K_G = K_H - K_F - np.eye(n)
+    K_F, K_G = configuration_gains(model, K_e, K_H)(np.linalg.inv(M))
     return ImpedanceGains(K_F, K_G, K_H), shaped
+
+
+def configuration_gains(m: NonlinearRobotModel, K_e: np.ndarray, K_H: np.ndarray):
+    """The gains as a function of M(q)^-1 (one matrix or a stack), returning
+    K_F = -J K^-1 (K_e - K) M(q)^-1 and K_G = K_H - K_F - I."""
+    F = -(m.J @ np.linalg.inv(m.K)) @ (K_e - m.K)
+    eye = np.eye(m.n)
+
+    def at(Minv):
+        K_F = F @ Minv
+        return K_F, K_H - K_F - eye
+    return at
 
 
 def gains_at(m: RobotModel, sp: ShapedParams, q) -> ImpedanceGains:
@@ -234,21 +236,27 @@ def colgate_interval(m: RobotModel) -> tuple[float, float]:
     return (-1.0, float(model.J[0, 0]) / M)
 
 
-def _joint_torque(x: OpenLoopState, model: NonlinearRobotModel) -> np.ndarray:
-    Mq = model.mass_of(x.q)
-    qdot = solve(Mq, x.p, "mass matrix")
-    thdot = solve(model.J, x.s, "J")
-    return model.K @ (x.theta - x.q) + model.D @ (thdot - qdot)
+def control_law(K_F, K_G, K_H, force, tau_a, tau_u) -> np.ndarray:
+    """tau = K_F force - K_G tau_a + K_H tau_u for one state or each row,
+    with ``force = tau_e - C(q, q') q' - grad V(q)``; ``K_F`` and ``K_G``
+    may be stacks ``(..., n, n)`` that follow M(q)."""
+    return matvec(K_F, force) - matvec(K_G, tau_a) + tau_u @ K_H.T
 
 
-def linear_control(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains, m: RobotModel) -> np.ndarray:
-    """Constant-mass control law tau = K_F tau_e - K_G tau_a - K_F grad V + K_H tau_u."""
+def _reference_control(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains, m: RobotModel,
+                       coriolis: bool) -> np.ndarray:
     model = as_model(m)
     n = model.n
     tau_e = as_vector(tau_e, n, "tau_e")
     tau_u = as_vector(tau_u, n, "tau_u")
-    tau_a = _joint_torque(x, model)
-    return (g.K_F @ (tau_e - model.gravity_grad_of(x.q)) - g.K_G @ tau_a + g.K_H @ tau_u)
+    t = model.chart_terms(x.q, x.theta, x.p, x.s, np.linalg.inv(model.J), model.K, model.D)
+    force = tau_e - t.coriolis - t.grad_v if coriolis else tau_e - t.grad_v
+    return control_law(g.K_F, g.K_G, g.K_H, force, t.tau_a, tau_u)
+
+
+def linear_control(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains, m: RobotModel) -> np.ndarray:
+    """Constant-mass control law tau = K_F tau_e - K_G tau_a - K_F grad V + K_H tau_u."""
+    return _reference_control(x, tau_e, tau_u, g, m, coriolis=False)
 
 
 def nonlinear_control(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains,
@@ -259,15 +267,7 @@ def nonlinear_control(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains,
     For exact shaping on a varying-mass plant, pass gains consistent with
     the instantaneous configuration (see ``gains_at``).
     """
-    model = as_model(m)
-    n = model.n
-    tau_e = as_vector(tau_e, n, "tau_e")
-    tau_u = as_vector(tau_u, n, "tau_u")
-    tau_a = _joint_torque(x, model)
-    qdot = solve(model.mass_of(x.q), x.p, "mass matrix")
-    coriolis_force = model.coriolis_of(x.q, qdot) @ qdot
-    return (g.K_F @ (tau_e - coriolis_force - model.gravity_grad_of(x.q))
-            - g.K_G @ tau_a + g.K_H @ tau_u)
+    return _reference_control(x, tau_e, tau_u, g, m, coriolis=True)
 
 
 def outer_loop_torque(phi, phi_dot, o: OuterLoop, m: RobotModel) -> np.ndarray:
@@ -277,7 +277,12 @@ def outer_loop_torque(phi, phi_dot, o: OuterLoop, m: RobotModel) -> np.ndarray:
     n = model.n
     phi = as_vector(phi, n, "phi")
     phi_dot = as_vector(phi_dot, n, "phi_dot")
-    tau_u = -o.K_phi @ (phi - o.phi_d) - o.D_phi @ phi_dot
+    return outer_law(phi, phi_dot, o, model)
+
+
+def outer_law(phi, phi_dot, o: OuterLoop, model: NonlinearRobotModel) -> np.ndarray:
+    """Outer-loop torque of one state or of each row, without validation."""
+    tau_u = -(phi - o.phi_d) @ o.K_phi.T - phi_dot @ o.D_phi.T
     if o.gravity_comp:
         tau_u = tau_u + model.gravity_grad_of(phi)
     return tau_u

@@ -1,8 +1,8 @@
 """Dense linear-algebra helpers.
 
 Linear solves go through LAPACK (LU with partial pivoting, via numpy);
-definiteness checks use an explicit Cholesky factorization so the pivot
-threshold stays under our control.
+definiteness checks apply their own pivot threshold to LAPACK's Cholesky
+factor, so the threshold stays under our control.
 """
 
 from __future__ import annotations
@@ -53,6 +53,15 @@ def as_vector(value, n: int, name: str = "vector") -> np.ndarray:
     return out
 
 
+def freeze(obj, names, n: int, coerce=as_matrix) -> None:
+    """Replace each named field of a frozen dataclass by its coerced,
+    read-only array (``as_matrix`` or ``as_vector``)."""
+    for name in names:
+        arr = coerce(getattr(obj, name), n, name)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 def symmetry_error(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.T))) if a.size else 0.0
 
@@ -65,19 +74,20 @@ def is_symmetric(a: np.ndarray, rtol: float = 1e-9) -> bool:
 def cholesky_lower(a: np.ndarray, rtol: float = SPD_PIVOT_RTOL) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
-    Raises ValueError when any pivot falls below ``rtol * ||a||_inf``.
+    Raises ValueError when any pivot ``L[k, k]^2`` falls below
+    ``rtol * ||a||_inf``, or when LAPACK meets a nonpositive one.
     """
-    n = a.shape[0]
     norm = float(np.max(np.abs(a))) if a.size else 0.0
     thresh = rtol * max(norm, np.finfo(float).tiny)
-    L = np.zeros_like(a, dtype=float)
-    for k in range(n):
-        pivot = a[k, k] - L[k, :k] @ L[k, :k]
-        if pivot < thresh:
-            raise ValueError(f"pivot {pivot:.3e} below threshold {thresh:.3e} at index {k}")
-        L[k, k] = np.sqrt(pivot)
-        if k + 1 < n:
-            L[k + 1:, k] = (a[k + 1:, k] - L[k + 1:, :k] @ L[k, :k]) / L[k, k]
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"nonpositive pivot, threshold {thresh:.3e}") from None
+    pivots = np.diagonal(L) ** 2
+    low = np.flatnonzero(pivots < thresh)
+    if low.size:
+        k = int(low[0])
+        raise ValueError(f"pivot {pivots[k]:.3e} below threshold {thresh:.3e} at index {k}")
     return L
 
 
@@ -114,6 +124,17 @@ def solve(a: np.ndarray, b: np.ndarray, name: str, err=ValidationError) -> np.nd
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise err(f"{name} is singular: {exc}") from None
+
+
+def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a v`` for one matrix and vector, or row by row for stacks ``(..., n, n)``
+    and ``(..., n)``."""
+    return (a @ v[..., None])[..., 0]
+
+
+def quad_form(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``v^T a v`` of one vector, or of each row of a sample matrix."""
+    return np.vecdot(v, v @ a.T)
 
 
 def pencil_max_frequency(stiffness: np.ndarray, mass: np.ndarray) -> float:

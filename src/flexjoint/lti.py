@@ -33,7 +33,7 @@ from .errors import (
     NotApplicableError,
     ValidationError,
 )
-from .linalg import as_matrix, require_psd, require_spd
+from .linalg import freeze, require_psd, require_spd
 from .model import LinearRobotParams
 from .poly import aberth_roots, poly_from_roots, polyadd, polyder, polyval, trim
 
@@ -119,10 +119,7 @@ class EnvironmentImpedance:
     K_h: np.ndarray
 
     def __post_init__(self):
-        for name in ("M_h", "D_h", "K_h"):
-            mat = as_matrix(getattr(self, name), self.n, name)
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
+        freeze(self, ("M_h", "D_h", "K_h"), self.n)
         require_psd(self.M_h, "M_h")
         require_psd(self.D_h, "D_h")
         require_psd(self.K_h, "K_h")
@@ -138,10 +135,7 @@ class TargetImpedance:
     D_d: np.ndarray
 
     def __post_init__(self):
-        for name in ("M_d", "K_d", "D_d"):
-            mat = as_matrix(getattr(self, name), self.n, name)
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
+        freeze(self, ("M_d", "K_d", "D_d"), self.n)
         require_spd(self.M_d, "M_d")
         require_spd(self.K_d, "K_d")
         require_spd(self.D_d, "D_d")

@@ -19,13 +19,22 @@ For a constant mass matrix the quadratic gradient term vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateModelError, ValidationError
-from .linalg import as_matrix, as_vector, require_psd, require_spd, solve
+from .linalg import (
+    as_matrix,
+    as_vector,
+    freeze,
+    matvec,
+    quad_form,
+    require_psd,
+    require_spd,
+    solve,
+)
 
 
 @dataclass(frozen=True)
@@ -56,14 +65,43 @@ class LinearRobotParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"joint count must be >= 1, got {self.n}")
-        for name in ("M", "J", "K", "D"):
-            mat = as_matrix(getattr(self, name), self.n, name)
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
+        freeze(self, ("M", "J", "K", "D"), self.n)
         require_spd(self.M, "M")
         require_spd(self.J, "J")
         require_spd(self.K, "K")
         require_psd(self.D, "D")
+
+
+class ChartTerms(NamedTuple):
+    """Field terms at a chart state (q, a, p, b), with ``a`` the motor-side
+    coordinate and ``b`` its momentum; one state or each row of a batch."""
+
+    Minv: np.ndarray            # M(q)^-1
+    qdot: np.ndarray            # M(q)^-1 p
+    coriolis: np.ndarray        # C(q, q') q'
+    kinetic_grad: np.ndarray    # (1/2) d/dq [p^T M(q)^-1 p]
+    adot: np.ndarray            # motor inertia^-1 b
+    tau_a: np.ndarray           # transmission torque K (a - q) + D (a' - q')
+    grad_v: np.ndarray          # grad V(q)
+
+    def rates(self, tau_e, tau_motor):
+        """Momentum rates (p', b') under link torque tau_e and motor torque tau_motor."""
+        return tau_e - self.grad_v - self.kinetic_grad + self.tau_a, tau_motor - self.tau_a
+
+
+def chart_energy(q, a, p, b, qdot, adot, K):
+    """1/2 (p.q' + b.a' + (a - q)^T K (a - q)), one state or each row: with
+    (theta, s, K) the plant energy, with (phi, z, K_e) the shaped storage,
+    both without the gravity potential."""
+    return 0.5 * (np.vecdot(p, qdot) + np.vecdot(b, adot) + quad_form(a - q, K))
+
+
+def _no_potential(q):
+    return np.zeros(np.shape(q)[:-1])
+
+
+def _no_gravity(q):
+    return np.zeros(np.shape(q))
 
 
 @dataclass(frozen=True)
@@ -76,6 +114,11 @@ class NonlinearRobotModel:
     ``potential_of(q)`` is the gravity potential and ``gravity_grad_of(q)``
     its gradient.  The Coriolis matrix is derived from ``dmass_of`` through
     the Christoffel symbols, which makes ``Mdot - 2 C`` skew-symmetric.
+
+    All four callables must accept a batch of configurations ``(..., n)``
+    and return the matching stack: ``(..., n, n)``, ``(..., n, n, n)``,
+    ``(...)`` and ``(..., n)``.  The simulators evaluate them on single
+    states and on whole sample matrices.
     """
 
     n: int
@@ -91,10 +134,7 @@ class NonlinearRobotModel:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"joint count must be >= 1, got {self.n}")
-        for name in ("J", "K", "D"):
-            mat = as_matrix(getattr(self, name), self.n, name)
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
+        freeze(self, ("J", "K", "D"), self.n)
         require_spd(self.J, "J")
         require_spd(self.K, "K")
         require_psd(self.D, "D")
@@ -105,16 +145,14 @@ class NonlinearRobotModel:
         """Wrap a constant-mass plant, optionally with a gravity potential."""
         n = params.n
         M = params.M
-        zero_stack = np.zeros((n, n, n))
-        zero_vec = np.zeros(n)
         if (potential_of is None) != (gravity_grad_of is None):
             raise ValidationError("provide both potential_of and gravity_grad_of, or neither")
         return cls(
             n=n,
-            mass_of=lambda q: M,
-            dmass_of=lambda q: zero_stack,
-            potential_of=potential_of if potential_of is not None else (lambda q: 0.0),
-            gravity_grad_of=gravity_grad_of if gravity_grad_of is not None else (lambda q: zero_vec),
+            mass_of=lambda q: np.broadcast_to(M, np.shape(q)[:-1] + (n, n)),
+            dmass_of=lambda q: np.zeros(np.shape(q)[:-1] + (n, n, n)),
+            potential_of=potential_of if potential_of is not None else _no_potential,
+            gravity_grad_of=gravity_grad_of if gravity_grad_of is not None else _no_gravity,
             J=params.J,
             K=params.K,
             D=params.D,
@@ -122,23 +160,47 @@ class NonlinearRobotModel:
         )
 
     def coriolis_of(self, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
-        """Coriolis matrix from the Christoffel symbols of ``mass_of``."""
+        """Coriolis matrix from the Christoffel symbols of ``mass_of``; one
+        state, or a stack for each row of ``(..., n)`` arrays."""
         if self.constant_mass:
-            return np.zeros((self.n, self.n))
+            return np.zeros(np.shape(qdot) + (self.n,))
         dM = self.dmass_of(q)
-        t1 = np.einsum("ikj,i->kj", dM, qdot)
-        t2 = np.einsum("jki,i->kj", dM, qdot)
-        t3 = np.einsum("kij,i->kj", dM, qdot)
+        t1 = np.einsum("...ikj,...i->...kj", dM, qdot)
+        t2 = np.einsum("...jki,...i->...kj", dM, qdot)
+        t3 = np.einsum("...kij,...i->...kj", dM, qdot)
         return 0.5 * (t1 + t2 - t3)
 
     def kinetic_grad(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Gradient (1/2) d/dq [p^T M(q)^-1 p], zero for constant mass."""
+        """Gradient (1/2) d/dq [p^T M(q)^-1 p], zero for constant mass; one
+        state or each row of ``(..., n)`` arrays."""
+        return self.link_terms(q, p)[3]
+
+    def link_terms(self, q: np.ndarray, p: np.ndarray) -> tuple:
+        """(M(q)^-1, q', C(q, q') q', kinetic gradient) from one inversion of
+        M(q) and one ``dmass_of`` call; one state or each row."""
+        try:
+            Minv = np.linalg.inv(self.mass_of(q))
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateModelError(f"mass matrix is singular: {exc}") from None
+        qdot = matvec(Minv, p)
         if self.constant_mass:
-            return np.zeros(self.n)
-        Mq = self.mass_of(q)
-        qdot = solve(Mq, p, "mass matrix", DegenerateModelError)
+            zero = np.zeros_like(qdot)
+            return Minv, qdot, zero, zero
         dM = self.dmass_of(q)
-        return -0.5 * np.einsum("i,kij,j->k", qdot, dM, qdot)
+        kinetic_grad = -0.5 * np.einsum("...i,...kij,...j->...k", qdot, dM, qdot)
+        # C(q, q') q' = Mdot q' - 1/2 d/dq (q'^T M(q) q'): the Christoffel
+        # matrix of coriolis_of applied to q', without forming it
+        coriolis = np.einsum("...i,...ikj,...j->...k", qdot, dM, qdot) + kinetic_grad
+        return Minv, qdot, coriolis, kinetic_grad
+
+    def chart_terms(self, q, a, p, b, Jinv, K, D) -> ChartTerms:
+        """Field terms at (q, a, p, b) with motor inertia ``Jinv^-1`` and
+        joint stiffness and damping (K, D): the plant chart with (J, K, D),
+        the shaped chart with (J_e, K_e, D_e).  One state or each row."""
+        Minv, qdot, coriolis, kinetic_grad = self.link_terms(q, p)
+        adot = b @ Jinv.T
+        tau_a = (a - q) @ K.T + (adot - qdot) @ D.T
+        return ChartTerms(Minv, qdot, coriolis, kinetic_grad, adot, tau_a, self.gravity_grad_of(q))
 
 
 RobotModel = LinearRobotParams | NonlinearRobotModel
@@ -151,35 +213,37 @@ def as_model(m: RobotModel) -> NonlinearRobotModel:
     return NonlinearRobotModel.from_linear(m)
 
 
-@dataclass(frozen=True)
-class OpenLoopState:
-    """Plant state (q, theta, p, s) in link/motor positions and momenta."""
-
-    q: np.ndarray
-    theta: np.ndarray
-    p: np.ndarray
-    s: np.ndarray
+class ChartState:
+    """Base of the chart states: four read-only length-n vectors, the link
+    position ``q``, a motor coordinate, and their momenta."""
 
     def __post_init__(self):
         n = np.asarray(self.q, dtype=float).shape[0] if np.ndim(self.q) else 1
-        for name in ("q", "theta", "p", "s"):
-            vec = as_vector(getattr(self, name), n, name)
-            vec.setflags(write=False)
-            object.__setattr__(self, name, vec)
+        freeze(self, [field.name for field in fields(self)], n, as_vector)
 
     @property
     def n(self) -> int:
         return self.q.shape[0]
 
     def pack(self) -> np.ndarray:
-        return np.concatenate([self.q, self.theta, self.p, self.s])
+        return np.concatenate([getattr(self, field.name) for field in fields(self)])
 
     @classmethod
-    def unpack(cls, vec: np.ndarray, n: int) -> "OpenLoopState":
+    def unpack(cls, vec: np.ndarray, n: int):
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (4 * n,):
             raise ValidationError(f"state vector: expected shape ({4 * n},), got {vec.shape}")
         return cls(vec[:n], vec[n:2 * n], vec[2 * n:3 * n], vec[3 * n:])
+
+
+@dataclass(frozen=True)
+class OpenLoopState(ChartState):
+    """Plant state (q, theta, p, s) in link/motor positions and momenta."""
+
+    q: np.ndarray
+    theta: np.ndarray
+    p: np.ndarray
+    s: np.ndarray
 
     @classmethod
     def zero(cls, n: int) -> "OpenLoopState":
@@ -201,12 +265,10 @@ def open_loop_energy(x: OpenLoopState, m: RobotModel) -> float:
     plus the gravity potential.
     """
     model = as_model(m)
-    Mq = model.mass_of(x.q)
-    qdot = solve(Mq, x.p, "mass matrix", DegenerateModelError)
+    qdot = solve(model.mass_of(x.q), x.p, "mass matrix", DegenerateModelError)
     thdot = solve(model.J, x.s, "J", DegenerateModelError)
-    defl = x.theta - x.q
-    return float(0.5 * x.p @ qdot + 0.5 * x.s @ thdot
-                 + 0.5 * defl @ model.K @ defl + model.potential_of(x.q))
+    return float(chart_energy(x.q, x.theta, x.p, x.s, qdot, thdot, model.K)
+                 + model.potential_of(x.q))
 
 
 def open_loop_field(x: OpenLoopState, tau_e, tau, m: RobotModel) -> OpenLoopState:
@@ -215,13 +277,8 @@ def open_loop_field(x: OpenLoopState, tau_e, tau, m: RobotModel) -> OpenLoopStat
     n = model.n
     tau_e = as_vector(tau_e, n, "tau_e")
     tau = as_vector(tau, n, "tau")
-    Mq = model.mass_of(x.q)
-    qdot = solve(Mq, x.p, "mass matrix", DegenerateModelError)
-    thdot = solve(model.J, x.s, "J", DegenerateModelError)
-    tau_a = model.K @ (x.theta - x.q) + model.D @ (thdot - qdot)
-    dp = -model.gravity_grad_of(x.q) - model.kinetic_grad(x.q, x.p) + tau_a + tau_e
-    ds = -tau_a + tau
-    return OpenLoopState(qdot, thdot, dp, ds)
+    terms = model.chart_terms(x.q, x.theta, x.p, x.s, np.linalg.inv(model.J), model.K, model.D)
+    return OpenLoopState(terms.qdot, terms.adot, *terms.rates(tau_e, tau))
 
 
 def two_link_arm(link_lengths, link_masses, motor_inertias, joint_stiffness,
@@ -276,34 +333,32 @@ def two_link_arm(link_lengths, link_masses, motor_inertias, joint_stiffness,
     a = I1 + I2 + m1 * lc1 ** 2 + m2 * (l1 ** 2 + lc2 ** 2)
     b = m2 * l1 * lc2
     d = I2 + m2 * lc2 ** 2
+    # M(q) = M0 + cos(q2) M1 and dM/dq2 = -sin(q2) M1
+    M0 = np.array([[a, d], [d, d]])
+    M1 = np.array([[2.0 * b, b], [b, 0.0]])
+    dM1 = np.stack([np.zeros((2, 2)), -M1])
 
     def mass_of(q):
-        c2 = np.cos(q[1])
-        off = d + b * c2
-        return np.array([[a + 2.0 * b * c2, off], [off, d]])
+        return M0 + np.cos(q[..., 1])[..., None, None] * M1
 
     def dmass_of(q):
-        s2 = np.sin(q[1])
-        out = np.zeros((2, 2, 2))
-        out[1] = [[-2.0 * b * s2, -b * s2], [-b * s2, 0.0]]
-        return out
+        return np.sin(q[..., 1])[..., None, None, None] * dM1
 
     if gravity:
         g1 = (m1 * lc1 + m2 * l1) * g
         g2 = m2 * lc2 * g
 
         def potential_of(q):
-            return g1 * np.sin(q[0]) + g2 * np.sin(q[0] + q[1])
+            return g1 * np.sin(q[..., 0]) + g2 * np.sin(q[..., 0] + q[..., 1])
 
         def gravity_grad_of(q):
-            c12 = np.cos(q[0] + q[1])
-            return np.array([g1 * np.cos(q[0]) + g2 * c12, g2 * c12])
+            c12 = np.cos(q[..., 0] + q[..., 1])
+            out = np.empty(c12.shape + (2,))
+            out[..., 0] = g1 * np.cos(q[..., 0]) + g2 * c12
+            out[..., 1] = g2 * c12
+            return out
     else:
-        def potential_of(q):
-            return 0.0
-
-        def gravity_grad_of(q):
-            return np.zeros(2)
+        potential_of, gravity_grad_of = _no_potential, _no_gravity
 
     return NonlinearRobotModel(
         n=2,

@@ -28,11 +28,14 @@ from .control import (
     OuterLoop,
     ShapedParams,
     check_gain_consistency,
+    configuration_gains,
+    control_law,
+    outer_law,
     recover_shaped,
     synthesize_gains,
 )
 from .errors import DivergenceError, ValidationError
-from .linalg import as_matrix, as_vector, pencil_max_frequency
+from .linalg import as_matrix, as_vector, pencil_max_frequency, quad_form
 from .lti import (
     EnvironmentImpedance,
     assemble_closed_loop,
@@ -45,8 +48,9 @@ from .model import (
     OpenLoopState,
     RobotModel,
     as_model,
+    chart_energy,
 )
-from .transform import ClosedLoopState, from_closed, to_closed
+from .transform import switch_chart, to_closed
 
 STABILITY_MARGIN = 20.0
 
@@ -163,27 +167,6 @@ class TargetResult:
     qdot: np.ndarray
 
 
-def _rk4_loop(field, x0: np.ndarray, dt: float, nsteps: int, t0: float = 0.0) -> np.ndarray:
-    dim = x0.shape[0]
-    out = np.empty((nsteps + 1, dim))
-    out[0] = x0
-    x = x0.copy()
-    sixth = dt / 6.0
-    half = 0.5 * dt
-    for k in range(nsteps):
-        t = t0 + k * dt
-        k1 = field(t, x)
-        k2 = field(t + half, x + half * k1)
-        k3 = field(t + half, x + half * k2)
-        k4 = field(t + dt, x + dt * k3)
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"state became non-finite at t={t0 + (k + 1) * dt:.6g} s",
-                                  time=t0 + (k + 1) * dt)
-        out[k + 1] = x
-    return out
-
-
 def integrate(field, x0, dt: float, T: float, t0: float = 0.0):
     """Classical fixed-step RK4 over [t0, t0 + T].
 
@@ -201,9 +184,23 @@ def integrate(field, x0, dt: float, T: float, t0: float = 0.0):
     if T < dt:
         raise ValidationError("horizon T must be at least one step")
     nsteps = int(round(T / dt))
-    X = _rk4_loop(field, x0, dt, nsteps, t0)
-    t = t0 + dt * np.arange(nsteps + 1)
-    return t, X
+    out = np.empty((nsteps + 1, x0.shape[0]))
+    out[0] = x0
+    x = x0.copy()
+    sixth = dt / 6.0
+    half = 0.5 * dt
+    for k in range(nsteps):
+        t = t0 + k * dt
+        k1 = field(t, x)
+        k2 = field(t + half, x + half * k1)
+        k3 = field(t + half, x + half * k2)
+        k4 = field(t + dt, x + dt * k3)
+        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError(f"state became non-finite at t={t0 + (k + 1) * dt:.6g} s",
+                                  time=t0 + (k + 1) * dt)
+        out[k + 1] = x
+    return t0 + dt * np.arange(nsteps + 1), out
 
 
 @dataclass(frozen=True)
@@ -214,8 +211,6 @@ class _Resolved:
     shaped: ShapedParams            # (J, K, D) for the bare plant
     gains: ImpedanceGains           # K_F = K_G = 0, K_H = I for the bare plant
     dt: float
-    nsteps: int
-    linear_fast: bool
 
 
 def _resolve(sc: Scenario, need_controller: bool = False) -> _Resolved:
@@ -262,9 +257,7 @@ def _resolve(sc: Scenario, need_controller: bool = False) -> _Resolved:
             f"(margin {STABILITY_MARGIN:g} over the fastest elastic mode)")
     if sc.T < dt:
         raise ValidationError("horizon T must be at least one step")
-    nsteps = int(round(sc.T / dt))
-    linear_fast = isinstance(sc.plant, LinearRobotParams)
-    return _Resolved(model, n, x0, shaped, gains, dt, nsteps, linear_fast)
+    return _Resolved(model, n, x0, shaped, gains, dt)
 
 
 def _default_dt(cap: float) -> float:
@@ -347,21 +340,11 @@ def simulate_coupled(sc: Scenario) -> SimResult:
 
 
 def _simulate(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
-    result = (_simulate_linear if r.linear_fast else _simulate_varying)(sc, r, chart)
+    linear = isinstance(sc.plant, LinearRobotParams)
+    result = (_simulate_linear if linear else _simulate_varying)(sc, r, chart)
     if sc.controller is None:       # the bare plant has no shaped coordinates
         result.phi = result.z = result.tau_u = None
     return result
-
-
-def _quad(v: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """v^T K v of one vector, or of each row of a sample matrix."""
-    return np.vecdot(v, v @ K.T)
-
-
-def _storage(q, p, qdot, phi, z, phidot, K_e):
-    """Shaped storage without the gravity potential, of one state or of
-    each sample row; the identity shaping gives the plant energy."""
-    return 0.5 * (np.vecdot(p, qdot) + np.vecdot(z, phidot) + _quad(phi - q, K_e))
 
 
 def _simulate_linear(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
@@ -437,18 +420,17 @@ def _simulate_linear(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
         return y[:m + 1]
 
     x0 = r.x0.pack() if chart == "open" else np.linalg.solve(S, T @ r.x0.pack())
-    states = _rk4_loop(field, np.append(x0, 0.0), r.dt, r.nsteps)
-    t = r.dt * np.arange(r.nsteps + 1)
+    t, states = integrate(field, np.append(x0, 0.0), r.dt, sc.T)
     W = np.hstack([states[:, :m], signal.torque_series(t, n), np.ones((t.shape[0], 1))])
     rows = np.vstack([on_w(S), on_w(X[n:2 * n]), on_w(X[3 * n:]),
                       qdot_w, phidot_w, tau_u_w, tau_e_w, tau_w])
     q, phi, p, z, theta, s, qdot, phidot, tau_u, tau_e, tau = np.split(W @ rows.T, 11, axis=1)
-    H = _storage(q, p, qdot, phi, z, phidot, shaped.K_e)
+    H = chart_energy(q, phi, p, z, qdot, phidot, shaped.K_e)
     if chart == "coupled":
         theta = s = None
-        H = H + 0.5 * (_quad(qdot, env.M_h) + _quad(q, env.K_h))
+        H = H + 0.5 * (quad_form(qdot, env.M_h) + quad_form(q, env.K_h))
         if outer is not None:
-            H = H + 0.5 * _quad(phi - outer.phi_d, outer.K_phi)
+            H = H + 0.5 * quad_form(phi - outer.phi_d, outer.K_phi)
     return SimResult(t, q, p, theta, s, phi, z, tau, tau_e, tau_u, H, states[:, m],
                      chart=chart, dt=r.dt)
 
@@ -456,91 +438,67 @@ def _simulate_linear(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
 def _simulate_varying(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
     """Either chart of a plant with a configuration-dependent mass matrix.
 
-    ``terms`` holds the plant chart's per-state terms (velocities, joint
-    torque, shaped coordinates, outer-loop and control torques).  It
-    makes the plant chart's RK4 field and, per sample, gives the
-    reconstructed series of both charts.
+    The RK4 field evaluates the array functions of ``model``, ``control``
+    and ``transform`` on one state per stage; the reconstruction evaluates
+    them once on the whole sample matrix.
     """
     model, n, shaped, outer, signal = r.model, r.n, r.shaped, sc.outer, sc.input
-    K, D, J_e, K_e, D_e = model.K, model.D, shaped.J_e, shaped.K_e, shaped.D_e
+    K, J_e, K_e = model.K, shaped.J_e, shaped.K_e
+    Jinv, Jeinv = np.linalg.inv(model.J), np.linalg.inv(J_e)
+    to_shaped, to_plant = np.linalg.solve(K_e, K), np.linalg.solve(K, K_e)
     K_H = r.gains.K_H
-    Jinv = np.linalg.inv(model.J)
-    Jeinv = np.linalg.inv(J_e)
-    Keinv = np.linalg.inv(K_e)
-    KeK = Keinv @ (K_e - K)         # phi = KeK q + KeKth theta
-    KeKth = Keinv @ K
-    A_ = model.J @ np.linalg.solve(K, K_e - K)     # K_F(q) v = -A_ M(q)^-1 v
+    gains_at_mass = configuration_gains(model, K_e, K_H)
     bare = sc.controller is None
-    zero = np.zeros(n)
-    zero.setflags(write=False)
+
+    def split(x):
+        return x[..., :n], x[..., n:2 * n], x[..., 2 * n:3 * n], x[..., 3 * n:4 * n]
 
     def outer_torque(phi, phidot):
-        if outer is None:
-            return zero
-        tau_u = -outer.K_phi @ (phi - outer.phi_d) - outer.D_phi @ phidot
-        if outer.gravity_comp:
-            tau_u = tau_u + model.gravity_grad_of(phi)
-        return tau_u
+        return outer_law(phi, phidot, outer, model) if outer is not None else np.zeros_like(phi)
 
-    def terms(x, u):
-        q, theta, p, s = x[:n], x[n:2 * n], x[2 * n:3 * n], x[3 * n:4 * n]
-        Mq = model.mass_of(q)
-        qdot = np.linalg.solve(Mq, p)
-        thdot = Jinv @ s
-        tau_a = K @ (theta - q) + D @ (thdot - qdot)
-        grad_v = model.gravity_grad_of(q)
+    def plant_terms(q, theta, p, s, u):
+        ct = model.chart_terms(q, theta, p, s, Jinv, K, model.D)
         if bare:        # the identity shaping: phi = theta, no control torque
-            return qdot, thdot, tau_a, grad_v, theta, thdot, zero, zero
-        phi = KeK @ q + KeKth @ theta
-        phidot = KeK @ qdot + KeKth @ thdot
+            return ct, theta, ct.adot, np.zeros_like(u), np.zeros_like(u)
+        phi, phidot = switch_chart(q, theta, ct.qdot, ct.adot, to_shaped)
         tau_u = outer_torque(phi, phidot)
-        cor = model.coriolis_of(q, qdot) @ qdot
-        tau = (-A_ @ np.linalg.solve(Mq, u + tau_a - cor - grad_v)
-               + tau_a + K_H @ (tau_u - tau_a))
-        return qdot, thdot, tau_a, grad_v, phi, phidot, tau_u, tau
+        K_F, K_G = gains_at_mass(ct.Minv)
+        tau = control_law(K_F, K_G, K_H, u - ct.coriolis - ct.grad_v, ct.tau_a, tau_u)
+        return ct, phi, phidot, tau_u, tau
 
-    def plant_field(t, xa):
-        u = signal.torque(t, n)
-        qdot, thdot, tau_a, grad_v, _, phidot, tau_u, tau = terms(xa, u)
-        dp = -grad_v - model.kinetic_grad(xa[:n], xa[2 * n:3 * n]) + tau_a + u
-        return np.concatenate([qdot, thdot, dp, tau - tau_a, [qdot @ u + phidot @ tau_u]])
+    def plant_field(time, xa):
+        u = signal.torque(time, n)
+        ct, _, phidot, tau_u, tau = plant_terms(*split(xa), u)
+        dp, ds = ct.rates(u, tau)
+        return np.concatenate([ct.qdot, ct.adot, dp, ds, [ct.qdot @ u + phidot @ tau_u]])
 
-    def closed_field(t, ya):
-        u = signal.torque(t, n)
-        q, phi, p, z = ya[:n], ya[n:2 * n], ya[2 * n:3 * n], ya[3 * n:4 * n]
-        qdot = np.linalg.solve(model.mass_of(q), p)
-        phidot = Jeinv @ z
-        elastic = K_e @ (phi - q) + D_e @ (phidot - qdot)
-        tau_u = outer_torque(phi, phidot)
-        dp = -model.gravity_grad_of(q) - model.kinetic_grad(q, p) + elastic + u
-        return np.concatenate([qdot, phidot, dp, tau_u - elastic, [qdot @ u + phidot @ tau_u]])
+    def closed_field(time, ya):
+        u = signal.torque(time, n)
+        q, phi, p, z = split(ya)
+        ct = model.chart_terms(q, phi, p, z, Jeinv, K_e, shaped.D_e)
+        tau_u = outer_torque(phi, ct.adot)
+        dp, dz = ct.rates(u, tau_u)
+        return np.concatenate([ct.qdot, ct.adot, dp, dz, [ct.qdot @ u + ct.adot @ tau_u]])
 
     if chart == "open":
         field, x0 = plant_field, r.x0.pack()
     else:
         field, x0 = closed_field, to_closed(r.x0, shaped, model).pack()
-    X = _rk4_loop(field, np.append(x0, 0.0), r.dt, r.nsteps)
-    t = r.dt * np.arange(r.nsteps + 1)
-    states = X[:, :4 * n]
+    t, X = integrate(field, np.append(x0, 0.0), r.dt, sc.T)
     tau_e = signal.torque_series(t, n)
+    q, a, p, b = split(X)
     if chart == "open":
-        plant_states = states
+        theta, s = a, b
     else:
-        plant_states = np.array([
-            from_closed(ClosedLoopState.unpack(y, n), shaped, model).pack() for y in states])
-
-    npts = t.shape[0]
-    phi, z, tau_u, tau = (np.empty((npts, n)) for _ in range(4))
-    H = np.empty(npts)
-    for k in range(npts):
-        x = plant_states[k]
-        q, p = x[:n], x[2 * n:3 * n]
-        qdot, _, _, _, phi[k], phidot, tau_u[k], tau[k] = terms(x, tau_e[k])
-        z[k] = J_e @ phidot
-        H[k] = _storage(q, p, qdot, phi[k], z[k], phidot, K_e) + model.potential_of(q)
-    if chart == "closed":
-        phi, z = states[:, n:2 * n], states[:, 3 * n:]
-    q, theta, p, s = np.split(plant_states, 4, axis=1)
+        shaped_terms = model.chart_terms(q, a, p, b, Jeinv, K_e, shaped.D_e)
+        theta, thdot = switch_chart(q, a, shaped_terms.qdot, shaped_terms.adot, to_plant)
+        s = thdot @ model.J.T
+    terms, phi, phidot, tau_u, tau = plant_terms(q, theta, p, s, tau_e)
+    if chart == "open":
+        z = phidot @ J_e.T
+    else:           # keep the integrated shaped coordinates
+        phi, phidot, z = a, shaped_terms.adot, b
+    H = chart_energy(q, phi, p, z, terms.qdot, phidot, K_e) + model.potential_of(q)
     return SimResult(t, q, p, theta, s, phi, z, tau, tau_e, tau_u, H, X[:, 4 * n],
                      chart=chart, dt=r.dt)
 

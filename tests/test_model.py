@@ -13,6 +13,7 @@ from flexjoint import (
     open_loop_field,
     two_link_arm,
 )
+from flexjoint.linalg import cholesky_lower
 
 
 def directional_mass_derivative(model, q, qdot):
@@ -139,6 +140,31 @@ class TestTwoLinkArm:
             two_link_arm([0.5, 0.4], [4.0, 2.5], [1.0, -1.0], 1e4, 0.0)
 
 
+class TestBatchEvaluators:
+    """Every evaluator takes a (k, n) batch and returns the row-by-row values."""
+
+    @pytest.fixture(params=["demo_arm", "gravity_arm", "from_linear"])
+    def model(self, request):
+        if request.param == "from_linear":
+            return NonlinearRobotModel.from_linear(LinearRobotParams(
+                n=2, M=np.array([[2.0, 0.3], [0.3, 1.0]]), J=1.0, K=1e3, D=0.1))
+        return request.getfixturevalue(request.param)
+
+    def test_batch_equals_rows(self, model):
+        rng = np.random.default_rng(3)
+        Q, V = rng.uniform(-np.pi, np.pi, (6, 2)), rng.normal(0.0, 1.0, (6, 2))
+
+        def evaluate(q, v):
+            return (model.mass_of(q), model.dmass_of(q), model.gravity_grad_of(q),
+                    model.potential_of(q), model.coriolis_of(q, v), model.kinetic_grad(q, v))
+
+        batched = evaluate(Q, V)
+        for k in range(Q.shape[0]):
+            for batch, row in zip(batched, evaluate(Q[k], V[k])):
+                assert batch[k].shape == np.shape(row)
+                np.testing.assert_allclose(batch[k], row, rtol=1e-13, atol=1e-13)
+
+
 class TestEnergyConsistency:
     def test_free_swing_conserves_energy(self, gravity_arm):
         # undamped, unforced: the total energy is a first integral
@@ -170,6 +196,14 @@ class TestValidation:
     def test_rejects_negative_damping(self):
         with pytest.raises(ValidationError):
             LinearRobotParams(n=1, M=1.0, J=1.0, K=1.0, D=-0.1)
+
+    def test_cholesky_pivot_threshold(self):
+        with pytest.raises(ValueError):
+            cholesky_lower(np.diag([1.0, 1e-14]))
+        with pytest.raises(ValueError):
+            cholesky_lower(np.diag([1.0, -1.0]))
+        L = cholesky_lower(np.diag([1.0, 1e-11]))
+        np.testing.assert_allclose(np.diag(L), np.sqrt([1.0, 1e-11]), rtol=1e-15)
 
     def test_scalar_broadcast(self, paper_plant):
         assert paper_plant.M.shape == (1, 1)

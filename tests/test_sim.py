@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from flexjoint import (
+    ClosedLoopState,
     DivergenceError,
     EnvironmentImpedance,
     ImpedanceGains,
@@ -22,6 +23,7 @@ from flexjoint import (
     simulate_plant_with_controller,
     simulate_target_dynamics,
     stability_dt_cap,
+    from_closed,
     synthesize_gains,
     to_closed,
 )
@@ -167,6 +169,21 @@ class TestClosedFormEquivalence:
             sa, sb = getattr(a, name), getattr(b, name)
             scale = max(np.max(np.abs(sa)), 1e-12)
             assert np.max(np.abs(sa - sb)) <= 1e-6 * scale
+
+    def test_reconstructed_plant_states_are_from_closed(self, gravity_arm):
+        sp = synthesize_gains(gravity_arm, 0.5 * np.eye(2), 2.0 * gravity_arm.K)[1]
+        x0 = OpenLoopState.from_velocities([0.3, -0.4], [0.3005, -0.4005], [0.5, -0.5],
+                                           [0.4, -0.6], gravity_arm)
+        outer = OuterLoop(50.0 * np.eye(2), 5.0 * np.eye(2), phi_d=[0.1, 0.2], gravity_comp=True)
+        sc = Scenario(plant=gravity_arm, controller=sp, outer=outer, x0=x0,
+                      input=InputSignal.sinusoid(2.0, 10.0, joint=1), T=0.02, dt=5e-5)
+        r = simulate_closed_form(sc)
+        plant_states = [from_closed(ClosedLoopState(r.q[k], r.phi[k], r.p[k], r.z[k]),
+                                    sp, gravity_arm) for k in range(r.t.shape[0])]
+        for name in ("theta", "s"):
+            ref = np.array([getattr(x, name) for x in plant_states])
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(getattr(r, name) - ref)) <= 1e-12 * scale
 
     def test_lossless_conserves_energy_short(self, paper_plant):
         from flexjoint import LinearRobotParams
