@@ -81,20 +81,14 @@ EXIT_VERIFY_FAILED = 3
 # CSV plumbing
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # canonicalize -0.0
-    return format(x, ".17g")
-
-
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """Numbers as ``%.17g`` (round-trip exact); adding 0.0 turns -0.0 into 0.0."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else _fmt(cell)
-                              for cell in row) + "\n")
+            fh.write(",".join([cell if isinstance(cell, str) else format(cell + 0.0, ".17g")
+                               for cell in row]) + "\n")
 
 
 def _system_id(kf: float, kg: float) -> str:

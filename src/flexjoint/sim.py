@@ -1,8 +1,11 @@
 """Time-domain simulation with energy and passivity accounting.
 
-Scenarios integrate with classical fixed-step RK4.  The supplied power
-``qdot . tau_e + phidot . tau_u`` is integrated jointly with the state so
-that the dissipation inequality
+Scenarios integrate with classical fixed-step RK4.  On constant-mass
+plants every chart is linear, and one RK4 step is applied as its exact
+step matrix, which gives the same numbers as four field evaluations up to
+rounding.  The supplied power ``qdot . tau_e + phidot . tau_u`` is
+integrated with the same RK4 stages as the state so that the dissipation
+inequality
 
     H(t) - H(0) - integral of supply  <=  0
 
@@ -197,10 +200,13 @@ def integrate(field, x0, dt: float, T: float, t0: float = 0.0):
         k4 = field(t + dt, x + dt * k3)
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"state became non-finite at t={t0 + (k + 1) * dt:.6g} s",
-                                  time=t0 + (k + 1) * dt)
+            raise _divergence(t0 + (k + 1) * dt)
         out[k + 1] = x
     return t0 + dt * np.arange(nsteps + 1), out
+
+
+def _divergence(time: float) -> DivergenceError:
+    return DivergenceError(f"state became non-finite at t={time:.6g} s", time=time)
 
 
 @dataclass(frozen=True)
@@ -247,7 +253,7 @@ def _resolve(sc: Scenario, need_controller: bool = False) -> _Resolved:
     if sc.environment is not None and sc.environment.n != n:
         raise ValidationError(f"environment is {sc.environment.n}-joint, plant is {n}-joint")
 
-    cap = stability_dt_cap(sc)
+    cap = _dt_cap(model, x0.q, shaped if sc.controller is not None else None, sc)
     dt = sc.dt if sc.dt is not None else _default_dt(cap)
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
@@ -272,8 +278,16 @@ def _default_dt(cap: float) -> float:
 def stability_dt_cap(sc: Scenario) -> float:
     """Largest admissible step, 1/(20 w_max) over the scenario's pencils."""
     model = as_model(sc.plant)
+    q0 = sc.x0.q if sc.x0 is not None else np.zeros(model.n)
+    shaped = sc.controller
+    if isinstance(shaped, ImpedanceGains):
+        shaped = recover_shaped(model, shaped.K_F, shaped.K_G, q_ref=q0)
+    return _dt_cap(model, q0, shaped, sc)
+
+
+def _dt_cap(model: NonlinearRobotModel, q0: np.ndarray, shaped: ShapedParams | None,
+            sc: Scenario) -> float:
     n = model.n
-    q0 = sc.x0.q if sc.x0 is not None else np.zeros(n)
     Mq = model.mass_of(q0)
     Z = np.zeros((n, n))
     wmax = 0.0
@@ -285,12 +299,7 @@ def stability_dt_cap(sc: Scenario) -> float:
     stiff_open = np.block([[model.K, -model.K], [-model.K, model.K]])
     wmax = max(wmax, pencil((Mq, model.J), stiff_open))
 
-    controller = sc.controller
-    if controller is not None:
-        if isinstance(controller, ShapedParams):
-            shaped = controller
-        else:
-            shaped = recover_shaped(model, controller.K_F, controller.K_G, q_ref=q0)
+    if shaped is not None:
         Kq = shaped.K_e + (sc.environment.K_h if sc.environment is not None else Z)
         Kp = shaped.K_e + (sc.outer.K_phi if sc.outer is not None else Z)
         Mlink = Mq + (sc.environment.M_h if sc.environment is not None else Z)
@@ -352,10 +361,12 @@ def _simulate_linear(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
 
     ``(A, B)`` come from ``lti`` and the set-point constant c is added
     here.  Every series is an affine function of w = (x, u, 1), written
-    once as a block of rows acting on w: the RK4 field evaluates it on one
-    state and the reconstruction on all samples.  The supply rate is the
-    quadratic form w . (Q w), so one field evaluation is one matrix-vector
-    product and one dot product.
+    once as a block of rows acting on w and evaluated on all samples; the
+    supply rate is the quadratic form w . (Q w).  One RK4 step is the exact
+    affine map x+ = P x + V[k], built once per run from the field x' = G w
+    (the same numbers as four field evaluations, up to rounding), so the
+    step loop is one matrix-vector product; the supply increments are one
+    quadratic form of the stage states, summed afterwards.
     """
     plant, n, shaped, outer, env = sc.plant, r.n, r.shaped, sc.outer, sc.environment
     m, dim = 4 * n, 5 * n + 1
@@ -407,21 +418,45 @@ def _simulate_linear(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
     tau_w = (loop.C[3 * n:] @ on_w(X) + loop.Dmat[3 * n:, :n] @ tau_e_w
              + loop.Dmat[3 * n:, n:] @ set_point_w)
 
-    F = np.vstack([G, Q])
-    w = np.zeros(dim)
-    w[-1] = 1.0
-    signal = sc.input
+    # one RK4 step acts on z = (x, u(t), u(t + h/2), u(t + h), 1): stage i
+    # evaluates the field at w_i = W_i z, so x+ = P x + R e with e = z[m:]
+    h, dz = r.dt, m + 3 * n + 1
 
-    def field(t, xa):
-        w[:m] = xa[:m]
-        w[m:-1] = signal.torque(t, n)
-        y = F @ w
-        y[m] = y[m:] @ w
-        return y[:m + 1]
+    def on_z(x_rows, j):
+        Wz = np.zeros((dim, dz))
+        Wz[:m] = x_rows
+        Wz[m:-1, m + j * n:m + (j + 1) * n] = np.eye(n)
+        Wz[-1, -1] = 1.0
+        return Wz
+
+    ident = np.eye(m, dz)
+    W1 = on_z(ident, 0)
+    W2 = on_z(ident + 0.5 * h * G @ W1, 1)
+    W3 = on_z(ident + 0.5 * h * G @ W2, 1)
+    W4 = on_z(ident + h * G @ W3, 2)
+    stages = (W1, W2, W3, W4)
+    weights = (h / 6.0, h / 3.0, h / 3.0, h / 6.0)
+    step = ident + sum(b * (G @ Wz) for b, Wz in zip(weights, stages))
+    supply_form = sum(b * (Wz.T @ Q @ Wz) for b, Wz in zip(weights, stages))
 
     x0 = r.x0.pack() if chart == "open" else np.linalg.solve(S, T @ r.x0.pack())
-    t, states = integrate(field, np.append(x0, 0.0), r.dt, sc.T)
-    W = np.hstack([states[:, :m], signal.torque_series(t, n), np.ones((t.shape[0], 1))])
+    nsteps = int(round(sc.T / h))
+    t = h * np.arange(nsteps + 1)
+    signal = sc.input
+    exo = np.hstack([signal.torque_series(t[:-1] + d, n) for d in (0.0, 0.5 * h, h)]
+                    + [np.ones((nsteps, 1))])
+    P, R = step[:, :m], step[:, m:]
+    states = np.empty((nsteps + 1, m))
+    states[0], states[1:] = x0, exo @ R.T           # row k + 1 starts as V[k]
+    views = list(states)
+    for x, x_next in zip(views, views[1:]):     # x+ = P x + V[k], in place
+        x_next += np.dot(P, x)
+    supply = np.append(0.0, np.cumsum(quad_form(np.hstack([states[:-1], exo]), supply_form)))
+    # like integrate, flag the first non-finite state after the start
+    diverged = ~(np.all(np.isfinite(states[1:]), axis=1) & np.isfinite(supply[1:]))
+    if diverged.any():
+        raise _divergence(float(t[1 + np.argmax(diverged)]))
+    W = np.hstack([states, signal.torque_series(t, n), np.ones((t.shape[0], 1))])
     rows = np.vstack([on_w(S), on_w(X[n:2 * n]), on_w(X[3 * n:]),
                       qdot_w, phidot_w, tau_u_w, tau_e_w, tau_w])
     q, phi, p, z, theta, s, qdot, phidot, tau_u, tau_e, tau = np.split(W @ rows.T, 11, axis=1)
@@ -431,7 +466,7 @@ def _simulate_linear(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
         H = H + 0.5 * (quad_form(qdot, env.M_h) + quad_form(q, env.K_h))
         if outer is not None:
             H = H + 0.5 * quad_form(phi - outer.phi_d, outer.K_phi)
-    return SimResult(t, q, p, theta, s, phi, z, tau, tau_e, tau_u, H, states[:, m],
+    return SimResult(t, q, p, theta, s, phi, z, tau, tau_e, tau_u, H, supply,
                      chart=chart, dt=r.dt)
 
 

@@ -14,6 +14,7 @@ from flexjoint.cli import (
     run_simulate,
     run_synth,
     run_verify,
+    write_csv,
 )
 from flexjoint.config import parse_config
 
@@ -176,6 +177,12 @@ class TestSimulate:
         code = main(["simulate", "--config", str(fast_cfg_path),
                      "--out", str(tmp_path), "--dt", "1e-2"])
         assert code == EXIT_INFEASIBLE
+
+
+def test_write_csv_number_format(tmp_path):
+    path = tmp_path / "row.csv"
+    write_csv(path, ["a", "b"], [[-0.0, 0.0, float("nan"), float("-inf"), 1e-310, 7, "x"]])
+    assert path.read_text() == "a,b\n0,0,nan,-inf,9.9999999999999694e-311,7,x\n"
 
 
 class TestVerify:

@@ -1,12 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import flexjoint.sim
+from conftest import rand_admissible_shaping, rand_plant
 from flexjoint import (
     ClosedLoopState,
     DivergenceError,
     EnvironmentImpedance,
     ImpedanceGains,
     InputSignal,
+    NonlinearRobotModel,
     OpenLoopState,
     OuterLoop,
     Scenario,
@@ -74,6 +79,19 @@ class TestScenarioValidation:
         sc = Scenario(plant=paper_plant, T=1.0, dt=1e-3)
         with pytest.raises(ValidationError):
             simulate_plant_with_controller(sc)
+
+    def test_gains_controller_recovers_shaped_once(self, paper_plant, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return recover_shaped(*args, **kwargs)
+
+        monkeypatch.setattr(flexjoint.sim, "recover_shaped", counting)
+        sc = Scenario(plant=paper_plant, controller=ImpedanceGains(0.9, 4.0, 5.9),
+                      T=0.001, dt=2e-5)
+        simulate_plant_with_controller(sc)
+        assert len(calls) == 1
 
     def test_outer_loop_requires_controller(self, paper_plant):
         sc = Scenario(plant=paper_plant, outer=OuterLoop(100.0, 10.0), T=0.01, dt=1e-5)
@@ -195,6 +213,77 @@ class TestClosedFormEquivalence:
         assert np.max(np.abs(r.H - r.H[0])) <= 1e-7 * r.H[0]
 
 
+class TestLinearPropagator:
+    """The constant-mass step matrix against the generic RK4 field path."""
+
+    SERIES = ("q", "p", "theta", "s", "phi", "z", "tau", "tau_e", "tau_u", "H", "supply")
+
+    def _assert_paths_agree(self, sc, simulate):
+        a = simulate(sc)
+        b = simulate(replace(sc, plant=NonlinearRobotModel.from_linear(sc.plant)))
+        np.testing.assert_array_equal(a.t, b.t)
+        for name in self.SERIES:
+            sa, sb = getattr(a, name), getattr(b, name)
+            if sa is None:
+                assert sb is None, name
+                continue
+            scale = max(np.max(np.abs(sa)), 1e-300)
+            assert np.max(np.abs(sa - sb)) <= 1e-9 * scale, name
+
+    def test_paper_plant(self, paper_plant):
+        sp = recover_shaped(paper_plant, 0.9, 4.0)
+        dt = 2e-5
+        x0 = OpenLoopState(1e-3, 0.0, 0.1, 0.0)
+        cases = [
+            Scenario(plant=paper_plant, input=InputSignal.step(1.0, start=50 * dt),
+                     T=0.02, dt=dt),
+            Scenario(plant=paper_plant, controller=sp, input=InputSignal.step(1.0, start=50 * dt),
+                     T=0.02, dt=dt),
+            Scenario(plant=paper_plant, controller=sp, x0=x0,
+                     input=InputSignal.sinusoid(5.0, 30.0), T=0.02, dt=dt),
+            Scenario(plant=paper_plant, controller=sp, outer=OuterLoop(100.0, 10.0, phi_d=0.02),
+                     x0=x0, input=InputSignal.step(2.0, start=50 * dt), T=0.02, dt=dt),
+        ]
+        for sc in cases:
+            simulators = [simulate_plant_with_controller]
+            if sc.controller is not None:
+                simulators.append(simulate_closed_form)
+            for simulate in simulators:
+                self._assert_paths_agree(sc, simulate)
+
+    def test_random_two_joint_plant(self):
+        rng = np.random.default_rng(11)
+        plant = rand_plant(rng, 2)
+        sp = synthesize_gains(plant, *rand_admissible_shaping(rng, plant))[1]
+        outer = OuterLoop(100.0 * np.eye(2), 10.0 * np.eye(2), phi_d=[0.01, -0.02])
+        x0 = OpenLoopState([1e-3, -2e-3], [0.0, 1e-3], [0.1, 0.0], [0.0, -0.1])
+        sc = Scenario(plant=plant, controller=sp, outer=outer, x0=x0,
+                      input=InputSignal.sinusoid(3.0, 50.0, joint=1), T=0.02)
+        for simulate in (simulate_plant_with_controller, simulate_closed_form):
+            self._assert_paths_agree(sc, simulate)
+
+    def test_divergence_reports_first_step(self, paper_plant):
+        # over one step the elastic force carries the state past the float range
+        sp = recover_shaped(paper_plant, 0.9, 4.0)
+        dt = 2e-5
+        x0 = OpenLoopState(1e307, -1e307, 0.0, 0.0)
+        env = EnvironmentImpedance(1, 1.0, 2.0, 50.0)
+        cases = [
+            (simulate_plant_with_controller, Scenario(plant=paper_plant, x0=x0, T=0.01, dt=dt)),
+            (simulate_plant_with_controller,
+             Scenario(plant=paper_plant, controller=sp, x0=x0, T=0.01, dt=dt)),
+            (simulate_closed_form, Scenario(plant=paper_plant, controller=sp, x0=x0,
+                                            T=0.01, dt=dt)),
+            (simulate_coupled, Scenario(plant=paper_plant, controller=sp, environment=env,
+                                        x0=x0, T=0.01, dt=dt)),
+        ]
+        for simulate, sc in cases:
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+                simulate(sc)
+            assert exc.value.time == dt
+            assert "t=2e-05 s" in str(exc.value)
+
+
 class TestCoupled:
     def _setup(self, paper_plant, env):
         sp = recover_shaped(paper_plant, 0.9, 4.0)
@@ -206,7 +295,6 @@ class TestCoupled:
         env0 = EnvironmentImpedance(1, 0.0, 0.0, 0.0)
         sc = self._setup(paper_plant, env0)
         a = simulate_coupled(sc)
-        from dataclasses import replace
         b = simulate_closed_form(replace(sc, environment=None))
         scale = max(np.max(np.abs(b.q)), 1e-12)
         assert np.max(np.abs(a.q - b.q)) <= 1e-9 * scale
