@@ -165,36 +165,47 @@ def assemble_closed_loop(m: LinearRobotParams, sp: ShapedParams,
     not the transfer function, so it is ignored here).  Assumes a constant
     mass matrix and zero gravity.
     """
+    return _shaped_loop(m, sp, outer, None)
+
+
+def _shaped_loop(m: LinearRobotParams, sp: ShapedParams, outer: OuterLoop | None,
+                 env: EnvironmentImpedance | None) -> StateSpace:
+    """The shaped loop with the environment merged into the link, or alone
+    when ``env`` is None; the coupled loop also takes a motor-side input."""
     if not isinstance(m, LinearRobotParams):
         raise ValidationError("state-space assembly requires a constant-mass plant")
     n = m.n
-    if sp.n != n:
-        raise AssemblyError(f"shaped parameters are {sp.n}-joint, plant is {n}-joint")
+    for what, part in (("shaped parameters are", sp), ("outer loop is", outer),
+                       ("environment is", env)):
+        if part is not None and part.n != n:
+            raise AssemblyError(f"{what} {part.n}-joint, plant is {n}-joint")
+    Z = np.zeros((n, n))
+    M_h, D_h, K_h = (Z, Z, Z) if env is None else (env.M_h, env.D_h, env.K_h)
     try:
-        Minv = np.linalg.inv(m.M)
+        Minv = np.linalg.inv(m.M + M_h)
         Jeinv = np.linalg.inv(sp.J_e)
     except np.linalg.LinAlgError as exc:
         raise AssemblyError(f"singular inertia block: {exc}") from None
 
-    Z = np.zeros((n, n))
     Ke, De = sp.K_e, sp.D_e
     A = np.block([
         [Z, Z, Minv, Z],
         [Z, Z, Z, Jeinv],
-        [-Ke, Ke, -De @ Minv, De @ Jeinv],
+        [-Ke - K_h, Ke, -(De + D_h) @ Minv, De @ Jeinv],
         [Ke, -Ke, De @ Minv, -De @ Jeinv],
     ])
     if outer is not None:
-        if outer.n != n:
-            raise AssemblyError(f"outer loop is {outer.n}-joint, plant is {n}-joint")
         A[3 * n:, n:2 * n] -= outer.K_phi
         A[3 * n:, 3 * n:] -= outer.D_phi @ Jeinv
     B = np.vstack([Z, Z, np.eye(n), Z])
-    C = np.hstack([Z, Z, Minv, Z])
-    return StateSpace(A, B, C, np.zeros((n, n)),
+    inputs = ("tau_e",)
+    if env is not None:
+        B = np.hstack([B, np.vstack([Z, Z, Z, np.eye(n)])])
+        inputs = ("tau_e", "tau_u")
+    return StateSpace(A, B, np.hstack([Z, Z, Minv, Z]), np.zeros((n, B.shape[1])),
                       state_labels=_state_labels(n),
-                      input_labels=tuple(f"tau_e{i + 1}" for i in range(n)),
-                      output_labels=tuple(f"qdot{i + 1}" for i in range(n)))
+                      input_labels=_state_labels(n, inputs),
+                      output_labels=_state_labels(n, ("qdot",)))
 
 
 def assemble_plant_loop(m: LinearRobotParams, g: ImpedanceGains,
@@ -269,36 +280,7 @@ def assemble_coupled(m: LinearRobotParams, sp: ShapedParams, env: EnvironmentImp
     extra external link torque and an extra motor-side torque, so the
     system is autonomous when the outer loop supplies ``tau_u``.
     """
-    if not isinstance(m, LinearRobotParams):
-        raise ValidationError("state-space assembly requires a constant-mass plant")
-    n = m.n
-    if env.n != n:
-        raise AssemblyError(f"environment is {env.n}-joint, plant is {n}-joint")
-    Mt = m.M + env.M_h
-    try:
-        Mtinv = np.linalg.inv(Mt)
-        Jeinv = np.linalg.inv(sp.J_e)
-    except np.linalg.LinAlgError as exc:
-        raise AssemblyError(f"singular inertia block: {exc}") from None
-
-    Z = np.zeros((n, n))
-    Ke, De = sp.K_e, sp.D_e
-    A = np.block([
-        [Z, Z, Mtinv, Z],
-        [Z, Z, Z, Jeinv],
-        [-Ke - env.K_h, Ke, -(De + env.D_h) @ Mtinv, De @ Jeinv],
-        [Ke, -Ke, De @ Mtinv, -De @ Jeinv],
-    ])
-    if outer is not None:
-        A[3 * n:, n:2 * n] -= outer.K_phi
-        A[3 * n:, 3 * n:] -= outer.D_phi @ Jeinv
-    B = np.block([[Z, Z], [Z, Z], [np.eye(n), Z], [Z, np.eye(n)]])
-    C = np.hstack([Z, Z, Mtinv, Z])
-    return StateSpace(A, B, C, np.zeros((n, 2 * n)),
-                      state_labels=_state_labels(n),
-                      input_labels=tuple(f"tau_e{i + 1}" for i in range(n))
-                      + tuple(f"tau_u{i + 1}" for i in range(n)),
-                      output_labels=tuple(f"qdot{i + 1}" for i in range(n)))
+    return _shaped_loop(m, sp, outer, env)
 
 
 def admittance_1dof(sp: ShapedParams, M) -> RationalTF:

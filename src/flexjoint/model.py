@@ -20,6 +20,7 @@ For a constant mass matrix the quadratic gradient term vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -71,6 +72,10 @@ class LinearRobotParams:
         require_spd(self.K, "K")
         require_psd(self.D, "D")
 
+    @cached_property
+    def _model(self) -> "NonlinearRobotModel":
+        return NonlinearRobotModel.from_linear(self)
+
 
 class ChartTerms(NamedTuple):
     """Field terms at a chart state (q, a, p, b), with ``a`` the motor-side
@@ -102,6 +107,14 @@ def _no_potential(q):
 
 def _no_gravity(q):
     return np.zeros(np.shape(q))
+
+
+def _constant_mass(M, q):
+    return np.broadcast_to(M, np.shape(q)[:-1] + M.shape)
+
+
+def _no_dmass(n, q):
+    return np.zeros(np.shape(q)[:-1] + (n, n, n))
 
 
 @dataclass(frozen=True)
@@ -149,8 +162,8 @@ class NonlinearRobotModel:
             raise ValidationError("provide both potential_of and gravity_grad_of, or neither")
         return cls(
             n=n,
-            mass_of=lambda q: np.broadcast_to(M, np.shape(q)[:-1] + (n, n)),
-            dmass_of=lambda q: np.zeros(np.shape(q)[:-1] + (n, n, n)),
+            mass_of=partial(_constant_mass, M),
+            dmass_of=partial(_no_dmass, n),
             potential_of=potential_of if potential_of is not None else _no_potential,
             gravity_grad_of=gravity_grad_of if gravity_grad_of is not None else _no_gravity,
             J=params.J,
@@ -207,10 +220,9 @@ RobotModel = LinearRobotParams | NonlinearRobotModel
 
 
 def as_model(m: RobotModel) -> NonlinearRobotModel:
-    """Promote plant parameters to the general model form."""
-    if isinstance(m, NonlinearRobotModel):
-        return m
-    return NonlinearRobotModel.from_linear(m)
+    """Promote plant parameters to the general model form, built once per
+    parameter set."""
+    return m if isinstance(m, NonlinearRobotModel) else m._model
 
 
 class ChartState:

@@ -1,9 +1,10 @@
 """Time-domain simulation with energy and passivity accounting.
 
-Scenarios integrate with classical fixed-step RK4.  On constant-mass
-plants every chart is linear, and one RK4 step is applied as its exact
-step matrix, which gives the same numbers as four field evaluations up to
-rounding.  The supplied power ``qdot . tau_e + phidot . tau_u`` is
+Each chart has one vector field and one series function, written once
+from the array functions of ``model``, ``control`` and ``transform``, and
+scenarios integrate them with classical fixed-step RK4.  On constant-mass
+plants both are affine: they are sampled once per run into the exact RK4
+step matrix.  The supplied power ``qdot . tau_e + phidot . tau_u`` is
 integrated with the same RK4 stages as the state so that the dissipation
 inequality
 
@@ -22,7 +23,8 @@ in the scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,13 +40,8 @@ from .control import (
     synthesize_gains,
 )
 from .errors import DivergenceError, ValidationError
-from .linalg import as_matrix, as_vector, pencil_max_frequency, quad_form
-from .lti import (
-    EnvironmentImpedance,
-    assemble_closed_loop,
-    assemble_coupled,
-    assemble_plant_loop,
-)
+from .linalg import as_matrix, as_vector, matvec, pencil_max_frequency, quad_form
+from .lti import EnvironmentImpedance
 from .model import (
     LinearRobotParams,
     NonlinearRobotModel,
@@ -53,7 +50,7 @@ from .model import (
     as_model,
     chart_energy,
 )
-from .transform import switch_chart, to_closed
+from .transform import switch_chart
 
 STABILITY_MARGIN = 20.0
 
@@ -73,6 +70,9 @@ class InputSignal:
             raise ValidationError(f"unknown input kind {self.kind!r}")
         if self.joint < 0:
             raise ValidationError("joint index must be nonnegative")
+        for name in ("amplitude", "start", "frequency"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"input {name} must be finite")
 
     @classmethod
     def zero(cls) -> "InputSignal":
@@ -127,8 +127,8 @@ class Scenario:
     x0: OpenLoopState | None = None
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise ValidationError("horizon T must be positive")
+        if not 0.0 < self.T < math.inf:
+            raise ValidationError("horizon T must be positive and finite")
 
 
 @dataclass
@@ -182,10 +182,10 @@ def integrate(field, x0, dt: float, T: float, t0: float = 0.0):
         When the state becomes non-finite, reporting the offending time.
     """
     x0 = np.asarray(x0, dtype=float)
-    if dt <= 0.0:
-        raise ValidationError("dt must be positive")
-    if T < dt:
-        raise ValidationError("horizon T must be at least one step")
+    if not 0.0 < dt < math.inf:
+        raise ValidationError("dt must be positive and finite")
+    if not dt <= T < math.inf:
+        raise ValidationError("horizon T must be finite and at least one step")
     nsteps = int(round(T / dt))
     out = np.empty((nsteps + 1, x0.shape[0]))
     out[0] = x0
@@ -255,8 +255,8 @@ def _resolve(sc: Scenario, need_controller: bool = False) -> _Resolved:
 
     cap = _dt_cap(model, x0.q, shaped if sc.controller is not None else None, sc)
     dt = sc.dt if sc.dt is not None else _default_dt(cap)
-    if dt <= 0.0:
-        raise ValidationError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValidationError("dt must be positive and finite")
     if dt > cap * (1.0 + 1e-9):
         raise ValidationError(
             f"dt={dt:g} exceeds the stability cap {cap:.3g} s "
@@ -348,82 +348,137 @@ def simulate_coupled(sc: Scenario) -> SimResult:
     return _simulate(sc, _resolve(sc, need_controller=True), "coupled")
 
 
+# every recorded series of a run, one row per sample
+_Series = namedtuple("_Series", "q theta p s phi z qdot phidot tau_u tau_e tau")
+
+
 def _simulate(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
-    linear = isinstance(sc.plant, LinearRobotParams)
-    result = (_simulate_linear if linear else _simulate_varying)(sc, r, chart)
-    if sc.controller is None:       # the bare plant has no shaped coordinates
-        result.phi = result.z = result.tau_u = None
-    return result
+    """Any chart of any plant, from one field and one series function.
 
-
-def _simulate_linear(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
-    """Any constant-mass chart as x' = A x + B u + c.
-
-    ``(A, B)`` come from ``lti`` and the set-point constant c is added
-    here.  Every series is an affine function of w = (x, u, 1), written
-    once as a block of rows acting on w and evaluated on all samples; the
-    supply rate is the quadratic form w . (Q w).  One RK4 step is the exact
-    affine map x+ = P x + V[k], built once per run from the field x' = G w
-    (the same numbers as four field evaluations, up to rounding), so the
-    step loop is one matrix-vector product; the supply increments are one
-    quadratic form of the stage states, summed afterwards.
+    ``field(x, u)`` gives the rate of (x, supply), and ``series(x, u)``
+    every recorded series; both are written once from the array functions
+    of ``model``, ``control`` and ``transform`` and work on one state or on
+    each row.  The coupled chart is the shaped chart with link mass
+    M + M_h and port torque u - K_h q - D_h q'.  A varying-mass
+    chart integrates ``field`` with ``integrate`` and evaluates ``series``
+    on the sample matrix; on a constant-mass plant both are affine and
+    ``_propagate`` applies the exact RK4 step matrix.
     """
-    plant, n, shaped, outer, env = sc.plant, r.n, r.shaped, sc.outer, sc.environment
-    m, dim = 4 * n, 5 * n + 1
+    model, n, shaped, outer, env, signal = r.model, r.n, r.shaped, sc.outer, sc.environment, sc.input
+    K, J_e, K_e = model.K, shaped.J_e, shaped.K_e
+    Jinv, Jeinv = np.linalg.inv(model.J), np.linalg.inv(J_e)
+    to_shaped, to_plant = np.linalg.solve(K_e, K), np.linalg.solve(K, K_e)
+    K_H = r.gains.K_H
+    gains_at_mass = configuration_gains(model, K_e, K_H)
+    bare = sc.controller is None
+    link = model if env is None else as_model(replace(sc.plant, M=sc.plant.M + env.M_h))
 
-    def on_w(x_rows, u_rows=0.0, const=0.0):
-        rows = np.zeros((x_rows.shape[0], dim))
-        rows[:, :m] = x_rows
-        rows[:, m:-1] = u_rows
-        rows[:, -1] = const
-        return rows
+    def split(x):
+        return x[..., :n], x[..., n:2 * n], x[..., 2 * n:3 * n], x[..., 3 * n:4 * n]
 
-    loop = assemble_plant_loop(plant, r.gains, outer)
-    # T maps the plant state (q, theta, p, s) to the shaped one (q, phi, p, z)
-    T = np.eye(m)
-    T[n:2 * n] = loop.C[n:2 * n]
-    T[3 * n:] = shaped.J_e @ loop.C[2 * n:3 * n]
-    set_point = outer.K_phi @ outer.phi_d if outer is not None else np.zeros(n)
-    # S maps the chart state to the shaped state, X to the plant state
+    def outer_torque(phi, phidot):
+        return outer_law(phi, phidot, outer, model) if outer is not None else np.zeros_like(phi)
+
+    def power(qdot, phidot, tau_u, u):
+        # the coupled run stores the outer-loop spring, so only the port power is supplied
+        port = np.vecdot(qdot, u)
+        return port if env is not None else port + np.vecdot(phidot, tau_u)
+
+    def plant_terms(q, theta, p, s, tau_e):
+        ct = model.chart_terms(q, theta, p, s, Jinv, K, model.D)
+        if bare:        # the identity shaping: phi = theta, no control torque
+            return ct, theta, ct.adot, np.zeros_like(tau_e), np.zeros_like(tau_e)
+        phi, phidot = switch_chart(q, theta, ct.qdot, ct.adot, to_shaped)
+        tau_u = outer_torque(phi, phidot)
+        K_F, K_G = gains_at_mass(ct.Minv)
+        tau = control_law(K_F, K_G, K_H, tau_e - ct.coriolis - ct.grad_v, ct.tau_a, tau_u)
+        return ct, phi, phidot, tau_u, tau
+
+    def shaped_terms(y, u):
+        q, phi, p, z = split(y)
+        ct = link.chart_terms(q, phi, p, z, Jeinv, K_e, shaped.D_e)
+        tau_u = outer_torque(phi, ct.adot)
+        port = u if env is None else u - q @ env.K_h.T - ct.qdot @ env.D_h.T
+        return ct, tau_u, ct.rates(port, tau_u)
+
     if chart == "open":
-        ss, S, X = loop, T, np.eye(m)
-        c = loop.B[:, n:] @ set_point
-    else:
-        S = np.eye(m)
-        if chart == "closed":
-            ss = assemble_closed_loop(plant, shaped, outer)
-        else:       # merged momentum (M + M_h) q' -> robot momentum M q'
-            ss = assemble_coupled(plant, shaped, env, outer)
-            S[2 * n:3 * n, 2 * n:3 * n] = plant.M @ np.linalg.inv(plant.M + env.M_h)
-        c = np.concatenate([np.zeros(3 * n), set_point])
-        X = np.linalg.solve(T, S)
+        def field(x, u):
+            ct, _, phidot, tau_u, tau = plant_terms(*split(x), u)
+            supplied = power(ct.qdot, phidot, tau_u, u)[..., None]
+            return np.concatenate([ct.qdot, ct.adot, *ct.rates(u, tau), supplied], axis=-1)
 
-    G = on_w(ss.A, ss.B[:, :n], c)                      # x' = G w
-    u_w = on_w(np.zeros((n, m)), np.eye(n))
-    set_point_w = on_w(np.zeros((n, m)), const=set_point)
-    qdot_w = G[:n]
-    phidot_w = S[n:2 * n] @ G
-    tau_u_w = np.zeros((n, dim))
-    if outer is not None:
-        tau_u_w = set_point_w - outer.K_phi @ on_w(S[n:2 * n]) - outer.D_phi @ phidot_w
-    if chart == "coupled":
-        # port torque M q'' - tau_a, the transmission torque read off the
-        # motor equation z' = -tau_a + tau_u; only the exogenous port power
-        # enters the supply, the outer-loop spring is part of the storage
-        tau_e_w = S[2 * n:3 * n] @ G + G[3 * n:] - tau_u_w
-        Q = qdot_w.T @ u_w
-    else:
-        tau_e_w = u_w
-        Q = qdot_w.T @ u_w + phidot_w.T @ tau_u_w
-    tau_w = (loop.C[3 * n:] @ on_w(X) + loop.Dmat[3 * n:, :n] @ tau_e_w
-             + loop.Dmat[3 * n:, n:] @ set_point_w)
+        def series(x, u):
+            ct, phi, phidot, tau_u, tau = plant_terms(*split(x), u)
+            return _Series(*split(x), phi, phidot @ J_e.T, ct.qdot, phidot, tau_u, u, tau)
 
-    # one RK4 step acts on z = (x, u(t), u(t + h/2), u(t + h), 1): stage i
-    # evaluates the field at w_i = W_i z, so x+ = P x + R e with e = z[m:]
-    h, dz = r.dt, m + 3 * n + 1
+        x0 = r.x0.pack()
+    else:
+        def field(y, u):
+            ct, tau_u, rates = shaped_terms(y, u)
+            supplied = power(ct.qdot, ct.adot, tau_u, u)[..., None]
+            return np.concatenate([ct.qdot, ct.adot, *rates, supplied], axis=-1)
+
+        def series(y, u):
+            ct, tau_u, (dp, _) = shaped_terms(y, u)
+            q, phi, p, z = split(y)
+            tau_e = u
+            if env is not None:     # robot momentum M q' and port torque M q'' - tau_a
+                M = model.mass_of(q)
+                p, tau_e = matvec(M, ct.qdot), matvec(M, matvec(ct.Minv, dp)) - ct.tau_a
+            theta, thdot = switch_chart(q, phi, ct.qdot, ct.adot, to_plant)
+            s = thdot @ model.J.T
+            tau = plant_terms(q, theta, p, s, tau_e)[-1]
+            return _Series(q, theta, p, s, phi, z, ct.qdot, ct.adot, tau_u, tau_e, tau)
+
+        q, theta, p, s = split(r.x0.pack())
+        ct, phi, phidot, _, _ = plant_terms(q, theta, p, s, np.zeros(n))
+        if env is not None:         # merged momentum (M + M_h) q'
+            p = p + ct.qdot @ env.M_h.T
+        x0 = np.concatenate([q, phi, p, phidot @ J_e.T])
+
+    if isinstance(sc.plant, LinearRobotParams):
+        t, supply, sr = _propagate(field, series, power, x0, signal, r.dt, sc.T)
+    else:
+        t, X = integrate(lambda time, xa: field(xa[:-1], signal.torque(time, n)),
+                         np.append(x0, 0.0), r.dt, sc.T)
+        supply, sr = X[:, -1], series(X[:, :-1], signal.torque_series(t, n))
+    q, theta, p, s, phi, z, qdot, phidot, tau_u, tau_e, tau = sr
+    H = chart_energy(q, phi, p, z, qdot, phidot, K_e) + model.potential_of(q)
+    if env is not None:
+        theta = s = None
+        H = H + 0.5 * (quad_form(qdot, env.M_h) + quad_form(q, env.K_h))
+        if outer is not None:
+            H = H + 0.5 * quad_form(phi - outer.phi_d, outer.K_phi)
+    if bare:                        # the bare plant has no shaped coordinates
+        phi = z = tau_u = None
+    return SimResult(t, q, p, theta, s, phi, z, tau, tau_e, tau_u, H, supply,
+                     chart=chart, dt=r.dt)
+
+
+def _propagate(field, series, power, x0, signal: InputSignal, h: float, T: float):
+    """Exact RK4 of a constant-mass chart: ``(t, supply, series)``.
+
+    There ``field`` and ``series`` are affine in w = (x, u, 1), so one
+    batched call each at the origin and at the unit points gives the field
+    as x' = G w and the series as w @ L.  One RK4 step acts
+    on z = (x, u(t), u(t + h/2), u(t + h), 1): stage i evaluates the field
+    at w_i = W_i z, so x+ = P x + R e with e = z[m:] (the same numbers as
+    four field evaluations, up to rounding), and the supply increment is
+    the RK4-weighted ``power`` of the stage series.
+    """
+    m = x0.shape[0]
+    n = m // 4
+    dz = m + 3 * n + 1
+
+    def on_w(values):       # from an affine map's values at the origin and unit points
+        return np.vstack([values[1:] - values[0], values[:1]])
+
+    unit = np.eye(m + n + 1, m + n, -1)
+    G = on_w(field(unit[:, :m], unit[:, m:])[:, :m]).T
+    L = on_w(np.hstack(series(unit[:, :m], unit[:, m:])))     # series = w @ L
 
     def on_z(x_rows, j):
-        Wz = np.zeros((dim, dz))
+        Wz = np.zeros((m + n + 1, dz))
         Wz[:m] = x_rows
         Wz[m:-1, m + j * n:m + (j + 1) * n] = np.eye(n)
         Wz[-1, -1] = 1.0
@@ -435,14 +490,11 @@ def _simulate_linear(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
     W3 = on_z(ident + 0.5 * h * G @ W2, 1)
     W4 = on_z(ident + h * G @ W3, 2)
     stages = (W1, W2, W3, W4)
-    weights = (h / 6.0, h / 3.0, h / 3.0, h / 6.0)
+    weights = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0])
     step = ident + sum(b * (G @ Wz) for b, Wz in zip(weights, stages))
-    supply_form = sum(b * (Wz.T @ Q @ Wz) for b, Wz in zip(weights, stages))
 
-    x0 = r.x0.pack() if chart == "open" else np.linalg.solve(S, T @ r.x0.pack())
-    nsteps = int(round(sc.T / h))
+    nsteps = int(round(T / h))
     t = h * np.arange(nsteps + 1)
-    signal = sc.input
     exo = np.hstack([signal.torque_series(t[:-1] + d, n) for d in (0.0, 0.5 * h, h)]
                     + [np.ones((nsteps, 1))])
     P, R = step[:, :m], step[:, m:]
@@ -451,91 +503,18 @@ def _simulate_linear(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
     views = list(states)
     for x, x_next in zip(views, views[1:]):     # x+ = P x + V[k], in place
         x_next += np.dot(P, x)
-    supply = np.append(0.0, np.cumsum(quad_form(np.hstack([states[:-1], exo]), supply_form)))
+    # the series and the input at the four stages of every step, side by side
+    stage_cols = np.hstack([np.hstack([Wz.T @ L, Wz[m:m + n].T]) for Wz in stages])
+    at_stages = (np.hstack([states[:-1], exo]) @ stage_cols).reshape(nsteps, 4, -1, n)
+    sr = _Series(*np.moveaxis(at_stages[:, :, :-1], 2, 0))
+    rate = power(sr.qdot, sr.phidot, sr.tau_u, at_stages[:, :, -1]) @ weights
+    supply = np.append(0.0, np.cumsum(rate))
     # like integrate, flag the first non-finite state after the start
     diverged = ~(np.all(np.isfinite(states[1:]), axis=1) & np.isfinite(supply[1:]))
     if diverged.any():
         raise _divergence(float(t[1 + np.argmax(diverged)]))
     W = np.hstack([states, signal.torque_series(t, n), np.ones((t.shape[0], 1))])
-    rows = np.vstack([on_w(S), on_w(X[n:2 * n]), on_w(X[3 * n:]),
-                      qdot_w, phidot_w, tau_u_w, tau_e_w, tau_w])
-    q, phi, p, z, theta, s, qdot, phidot, tau_u, tau_e, tau = np.split(W @ rows.T, 11, axis=1)
-    H = chart_energy(q, phi, p, z, qdot, phidot, shaped.K_e)
-    if chart == "coupled":
-        theta = s = None
-        H = H + 0.5 * (quad_form(qdot, env.M_h) + quad_form(q, env.K_h))
-        if outer is not None:
-            H = H + 0.5 * quad_form(phi - outer.phi_d, outer.K_phi)
-    return SimResult(t, q, p, theta, s, phi, z, tau, tau_e, tau_u, H, supply,
-                     chart=chart, dt=r.dt)
-
-
-def _simulate_varying(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
-    """Either chart of a plant with a configuration-dependent mass matrix.
-
-    The RK4 field evaluates the array functions of ``model``, ``control``
-    and ``transform`` on one state per stage; the reconstruction evaluates
-    them once on the whole sample matrix.
-    """
-    model, n, shaped, outer, signal = r.model, r.n, r.shaped, sc.outer, sc.input
-    K, J_e, K_e = model.K, shaped.J_e, shaped.K_e
-    Jinv, Jeinv = np.linalg.inv(model.J), np.linalg.inv(J_e)
-    to_shaped, to_plant = np.linalg.solve(K_e, K), np.linalg.solve(K, K_e)
-    K_H = r.gains.K_H
-    gains_at_mass = configuration_gains(model, K_e, K_H)
-    bare = sc.controller is None
-
-    def split(x):
-        return x[..., :n], x[..., n:2 * n], x[..., 2 * n:3 * n], x[..., 3 * n:4 * n]
-
-    def outer_torque(phi, phidot):
-        return outer_law(phi, phidot, outer, model) if outer is not None else np.zeros_like(phi)
-
-    def plant_terms(q, theta, p, s, u):
-        ct = model.chart_terms(q, theta, p, s, Jinv, K, model.D)
-        if bare:        # the identity shaping: phi = theta, no control torque
-            return ct, theta, ct.adot, np.zeros_like(u), np.zeros_like(u)
-        phi, phidot = switch_chart(q, theta, ct.qdot, ct.adot, to_shaped)
-        tau_u = outer_torque(phi, phidot)
-        K_F, K_G = gains_at_mass(ct.Minv)
-        tau = control_law(K_F, K_G, K_H, u - ct.coriolis - ct.grad_v, ct.tau_a, tau_u)
-        return ct, phi, phidot, tau_u, tau
-
-    def plant_field(time, xa):
-        u = signal.torque(time, n)
-        ct, _, phidot, tau_u, tau = plant_terms(*split(xa), u)
-        dp, ds = ct.rates(u, tau)
-        return np.concatenate([ct.qdot, ct.adot, dp, ds, [ct.qdot @ u + phidot @ tau_u]])
-
-    def closed_field(time, ya):
-        u = signal.torque(time, n)
-        q, phi, p, z = split(ya)
-        ct = model.chart_terms(q, phi, p, z, Jeinv, K_e, shaped.D_e)
-        tau_u = outer_torque(phi, ct.adot)
-        dp, dz = ct.rates(u, tau_u)
-        return np.concatenate([ct.qdot, ct.adot, dp, dz, [ct.qdot @ u + ct.adot @ tau_u]])
-
-    if chart == "open":
-        field, x0 = plant_field, r.x0.pack()
-    else:
-        field, x0 = closed_field, to_closed(r.x0, shaped, model).pack()
-    t, X = integrate(field, np.append(x0, 0.0), r.dt, sc.T)
-    tau_e = signal.torque_series(t, n)
-    q, a, p, b = split(X)
-    if chart == "open":
-        theta, s = a, b
-    else:
-        shaped_terms = model.chart_terms(q, a, p, b, Jeinv, K_e, shaped.D_e)
-        theta, thdot = switch_chart(q, a, shaped_terms.qdot, shaped_terms.adot, to_plant)
-        s = thdot @ model.J.T
-    terms, phi, phidot, tau_u, tau = plant_terms(q, theta, p, s, tau_e)
-    if chart == "open":
-        z = phidot @ J_e.T
-    else:           # keep the integrated shaped coordinates
-        phi, phidot, z = a, shaped_terms.adot, b
-    H = chart_energy(q, phi, p, z, terms.qdot, phidot, K_e) + model.potential_of(q)
-    return SimResult(t, q, p, theta, s, phi, z, tau, tau_e, tau_u, H, X[:, 4 * n],
-                     chart=chart, dt=r.dt)
+    return t, supply, _Series(*np.moveaxis((W @ L).reshape(nsteps + 1, -1, n), 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -553,16 +532,17 @@ def simulate_target_dynamics(m: RobotModel, K_theta, D_theta, q_d, signal: Input
     q0 = as_vector(q0, n, "q0") if q0 is not None else np.zeros(n)
     qdot0 = as_vector(qdot0, n, "qdot0") if qdot0 is not None else np.zeros(n)
 
+    # in the momentum p = M(q) q' the Coriolis force is the kinetic gradient
     def field(t, x):
-        q, qd = x[:n], x[n:]
-        tau_e = signal.torque(t, n)
-        rhs = tau_e - (model.coriolis_of(q, qd) + D_theta) @ qd - K_theta @ (q - q_d) \
-            - model.gravity_grad_of(q)
-        qdd = np.linalg.solve(model.mass_of(q), rhs)
-        return np.concatenate([qd, qdd])
+        q, p = x[:n], x[n:]
+        _, qdot, _, kinetic_grad = model.link_terms(q, p)
+        dp = (signal.torque(t, n) - D_theta @ qdot - K_theta @ (q - q_d)
+              - model.gravity_grad_of(q) - kinetic_grad)
+        return np.concatenate([qdot, dp])
 
-    t, X = integrate(field, np.concatenate([q0, qdot0]), dt, T)
-    return TargetResult(t, X[:, :n], X[:, n:])
+    t, X = integrate(field, np.concatenate([q0, model.mass_of(q0) @ qdot0]), dt, T)
+    q = X[:, :n]
+    return TargetResult(t, q, model.link_terms(q, X[:, n:])[1])
 
 
 def passivity_audit(result: SimResult) -> float:

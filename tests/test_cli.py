@@ -178,6 +178,15 @@ class TestSimulate:
                      "--out", str(tmp_path), "--dt", "1e-2"])
         assert code == EXIT_INFEASIBLE
 
+    def test_cli_non_finite_values_are_configuration_errors(self, fast_cfg_path, tmp_path):
+        code = main(["simulate", "--config", str(fast_cfg_path),
+                     "--out", str(tmp_path), "--horizon", "nan"])
+        assert code == EXIT_INFEASIBLE
+        path = tmp_path / "nan_input.cfg"
+        path.write_text(FAST_SIM.replace("input = step(1, 1, 0)", "input = step(nan, 1, 0)"),
+                        encoding="utf-8")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == EXIT_INFEASIBLE
+
 
 def test_write_csv_number_format(tmp_path):
     path = tmp_path / "row.csv"

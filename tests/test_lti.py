@@ -111,6 +111,17 @@ class TestAssembleCoupled:
             ev = np.linalg.eigvals(assemble_coupled(paper_plant, sp, env, outer).A)
             assert np.max(ev.real) <= 1e-9
 
+    def test_joint_count_mismatch_raises_assembly_error(self, paper_plant):
+        sp = recover_shaped(paper_plant, 0.9, 4.0)
+        sp2 = ShapedParams(np.eye(2), 2.0 * np.eye(2), np.zeros((2, 2)))
+        outer2 = OuterLoop(np.eye(2), np.eye(2))
+        env = EnvironmentImpedance(1, 1.0, 2.0, 50.0)
+        for shaped, outer in ((sp2, None), (sp, outer2)):
+            with pytest.raises(AssemblyError):
+                assemble_closed_loop(paper_plant, shaped, outer)
+            with pytest.raises(AssemblyError):
+                assemble_coupled(paper_plant, shaped, env, outer)
+
     def test_added_mass_rescales_link_row(self, paper_plant):
         sp = recover_shaped(paper_plant, 0.0, 0.0)
         env = EnvironmentImpedance(1, 1.0, 0.0, 0.0)

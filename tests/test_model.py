@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,15 @@ class TestValidation:
             cholesky_lower(np.diag([1.0, -1.0]))
         L = cholesky_lower(np.diag([1.0, 1e-11]))
         np.testing.assert_allclose(np.diag(L), np.sqrt([1.0, 1e-11]), rtol=1e-15)
+
+    def test_wrapped_model_built_once_and_picklable(self, paper_plant):
+        model = as_model(paper_plant)
+        assert as_model(paper_plant) is model
+        clone = pickle.loads(pickle.dumps(paper_plant))
+        q = np.zeros((3, 1))
+        np.testing.assert_array_equal(as_model(clone).mass_of(q), model.mass_of(q))
+        np.testing.assert_array_equal(pickle.loads(pickle.dumps(model)).dmass_of(q),
+                                      np.zeros((3, 1, 1, 1)))
 
     def test_scalar_broadcast(self, paper_plant):
         assert paper_plant.M.shape == (1, 1)

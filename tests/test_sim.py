@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flexjoint.sim
-from conftest import rand_admissible_shaping, rand_plant
+from conftest import rand_admissible_shaping, rand_plant, rand_spd
 from flexjoint import (
     ClosedLoopState,
     DivergenceError,
@@ -16,6 +16,9 @@ from flexjoint import (
     OuterLoop,
     Scenario,
     ValidationError,
+    assemble_closed_loop,
+    assemble_coupled,
+    assemble_plant_loop,
     gains_at,
     integrate,
     l2_distance,
@@ -97,6 +100,22 @@ class TestScenarioValidation:
         sc = Scenario(plant=paper_plant, outer=OuterLoop(100.0, 10.0), T=0.01, dt=1e-5)
         with pytest.raises(ValidationError):
             simulate_plant_with_controller(sc)
+
+    def test_non_finite_values_rejected(self, paper_plant):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            calls = [
+                lambda: Scenario(plant=paper_plant, T=bad),
+                lambda: simulate_plant_with_controller(Scenario(plant=paper_plant, T=0.01, dt=bad)),
+                lambda: integrate(lambda t, x: x, np.array([1.0]), bad, 1.0),
+                lambda: integrate(lambda t, x: x, np.array([1.0]), 0.1, bad),
+                lambda: InputSignal.step(bad),
+                lambda: InputSignal.step(1.0, start=bad),
+                lambda: InputSignal.sinusoid(bad, 1.0),
+                lambda: InputSignal.sinusoid(1.0, bad),
+            ]
+            for call in calls:
+                with pytest.raises(ValidationError):
+                    call()
 
 
 class TestPlantSimulation:
@@ -306,24 +325,42 @@ class TestCoupled:
         assert passivity_audit(r) <= 1e-9 * max(r.H[0], 1e-12)
 
     def test_matches_matrix_exponential_oracle(self, paper_plant):
-        from flexjoint import assemble_coupled
-        env = EnvironmentImpedance(1, 1.0, 2.0, 50.0)
-        sc = self._setup(paper_plant, env)
-        r = simulate_coupled(sc)
-        sp = recover_shaped(paper_plant, 0.9, 4.0)
-        ss = assemble_coupled(paper_plant, sp, env, OuterLoop(100.0, 10.0))
-        w, V = np.linalg.eig(ss.A)
-        # same initial condition the simulator builds: shaped chart with
-        # the environment mass merged into the link momentum
-        y0c = to_closed(sc.x0, sp, paper_plant)
-        qdot0 = sc.x0.p / paper_plant.M[0, 0]
-        y0 = np.array([y0c.q[0], y0c.phi[0],
-                       (paper_plant.M[0, 0] + env.M_h[0, 0]) * qdot0[0], y0c.z[0]],
-                      dtype=complex)
-        c = np.linalg.solve(V, y0)
-        q_oracle = np.array([(V[0] * np.exp(w * tk)) @ c for tk in r.t]).real
-        scale = max(np.max(np.abs(q_oracle)), 1e-12)
-        assert np.max(np.abs(r.q[:, 0] - q_oracle)) <= 1e-6 * scale
+        # every chart against the flow exp(A t) of its lti assembly: the
+        # plant chart from the gains, the shaped and coupled charts from
+        # the shaped parameters; outer loop, moving start, no input
+        rng = np.random.default_rng(5)
+        plant2 = rand_plant(rng, 2)
+        cases = [
+            (paper_plant, recover_shaped(paper_plant, 0.9, 4.0), OuterLoop(100.0, 10.0),
+             EnvironmentImpedance(1, 1.0, 2.0, 50.0), OpenLoopState(5e-4, 0.0, 0.01, 0.0)),
+            (plant2, synthesize_gains(plant2, *rand_admissible_shaping(rng, plant2))[1],
+             OuterLoop(rand_spd(rng, 2, 50.0, 200.0), rand_spd(rng, 2, 5.0, 20.0)),
+             EnvironmentImpedance(2, rand_spd(rng, 2), rand_spd(rng, 2), 50.0 * rand_spd(rng, 2)),
+             OpenLoopState([5e-4, -3e-4], [1e-4, 0.0], [0.01, 0.0], [0.0, -0.01])),
+        ]
+        for plant, sp, outer, env, x0 in cases:
+            sc = Scenario(plant=plant, controller=sp, outer=outer, x0=x0, T=0.05)
+            gains = synthesize_gains(plant, sp.J_e, sp.K_e)[0]
+            y0 = to_closed(x0, sp, plant).pack()
+            merged = y0.copy()          # link momentum (M + M_h) q' in the coupled chart
+            merged[2 * plant.n:3 * plant.n] += env.M_h @ np.linalg.solve(plant.M, x0.p)
+            robot_p = plant.M @ np.linalg.inv(plant.M + env.M_h)
+            runs = [
+                (simulate_plant_with_controller(sc), assemble_plant_loop(plant, gains, outer),
+                 x0.pack(), ("q", "theta", "p", "s"), np.eye(plant.n)),
+                (simulate_closed_form(sc), assemble_closed_loop(plant, sp, outer),
+                 y0, ("q", "phi", "p", "z"), np.eye(plant.n)),
+                (simulate_coupled(replace(sc, environment=env)),
+                 assemble_coupled(plant, sp, env, outer), merged, ("q", "phi", "p", "z"), robot_p),
+            ]
+            for r, ss, start, names, p_map in runs:
+                w, V = np.linalg.eig(ss.A)
+                oracle = ((np.exp(np.outer(r.t, w)) * np.linalg.solve(V, start)) @ V.T).real
+                blocks = np.split(oracle, 4, axis=1)
+                blocks[2] = blocks[2] @ p_map.T
+                for name, ref in zip(names, blocks):
+                    scale = max(np.max(np.abs(ref)), 1e-12)
+                    assert np.max(np.abs(getattr(r, name) - ref)) <= 1e-6 * scale, (r.chart, name)
 
     def test_requires_environment(self, paper_plant):
         sp = recover_shaped(paper_plant, 0.9, 4.0)
@@ -366,6 +403,24 @@ class TestTargetDynamics:
                                        signal, 1.5, 1e-4)
         assert res.q[-1, 1] == pytest.approx(0.01, rel=1e-3)
         assert res.q[-1, 0] == pytest.approx(0.0, abs=1e-6)
+
+    def test_matches_velocity_form_reference(self, gravity_arm):
+        # M(q) q'' = tau_e - (C(q, q') + D_theta) q' - K_theta (q - q_d) - grad V(q)
+        K_theta, D_theta, q_d = 1000.0 * np.eye(2), 135.0 * np.eye(2), np.array([0.1, -0.2])
+        signal = InputSignal.step(10.0, joint=1, start=0.1)
+        q0, qdot0 = np.array([0.3, -0.4]), np.array([0.5, -0.5])
+
+        def field(t, x):
+            q, qdot = x[:2], x[2:]
+            rhs = (signal.torque(t, 2) - (gravity_arm.coriolis_of(q, qdot) + D_theta) @ qdot
+                   - K_theta @ (q - q_d) - gravity_arm.gravity_grad_of(q))
+            return np.concatenate([qdot, np.linalg.solve(gravity_arm.mass_of(q), rhs)])
+
+        _, X = integrate(field, np.concatenate([q0, qdot0]), 1e-4, 0.5)
+        res = simulate_target_dynamics(gravity_arm, K_theta, D_theta, q_d, signal, 0.5, 1e-4,
+                                       q0=q0, qdot0=qdot0)
+        for got, want in ((res.q, X[:, :2]), (res.qdot, X[:, 2:])):
+            assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
     def test_l2_distance_of_identical_signals_is_zero(self):
         t = np.linspace(0, 1, 100)
