@@ -51,7 +51,6 @@ from .errors import (
     DivergenceError,
     FlexJointError,
 )
-from .linalg import as_matrix
 from .lti import (
     assemble_closed_loop,
     freq_response,
@@ -118,19 +117,14 @@ def _controller(cfg: ExperimentConfig, plant, je_value: float | None = None):
     """Gains and shaped parameters of the [controller] section, with
     ``J_e = je_value I`` when given; ``(None, None)`` without one."""
     spec = build_controller_spec(cfg)
-    n = plant.n
     if spec is None:
         return None, None
     if isinstance(spec, GainPair):
         if je_value is not None:
             raise ConfigurationError("a J_e sweep requires a shaped-parameter controller")
-        shaped = recover_shaped(plant, as_matrix(np.array(spec.K_F), n, "K_F"),
-                                as_matrix(np.array(spec.K_G), n, "K_G"))
-        J_e, K_e = shaped.J_e, shaped.K_e
-    else:
-        J_e = as_matrix(np.array(spec.J_e if je_value is None else je_value), n, "J_e")
-        K_e = as_matrix(np.array(spec.K_e), n, "K_e")
-    return synthesize_gains(plant, J_e, K_e)
+        shaped = recover_shaped(plant, spec.K_F, spec.K_G)
+        return synthesize_gains(plant, shaped.J_e, shaped.K_e)
+    return synthesize_gains(plant, spec.J_e if je_value is None else je_value, spec.K_e)
 
 
 def _gain_study(cfg: ExperimentConfig, study: str):
@@ -393,13 +387,9 @@ def run_verify(cfg: ExperimentConfig, seed: int = 0):
         verdict = positive_real_check(ss_to_tf(ss))
         checks.append(("positive_real", 0.0 if verdict.verdict == "passive" else 1.0, 0.5))
 
-    lines = []
-    ok = True
-    for name, value, tol in checks:
-        passed = value <= tol
-        ok = ok and passed
-        lines.append(f"{'PASS' if passed else 'FAIL'} {name} value={value:.3e} tol={tol:.1e}")
-    return lines, ok
+    lines = [f"{'PASS' if value <= tol else 'FAIL'} {name} value={value:.3e} tol={tol:.1e}"
+             for name, value, tol in checks]
+    return lines, all(value <= tol for _, value, tol in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +542,14 @@ def _load_config(path: str) -> ExperimentConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
+def _outdir(out: str | None, cfg: ExperimentConfig) -> Path:
+    """``--out``, else the configuration's ``[output] dir``."""
+    out = out if out is not None else cfg.output.get("dir")
+    if not isinstance(out, str):
+        raise ConfigurationError("no output directory: pass --out or set [output] dir")
+    return Path(out)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flexjoint",
                                      description="Impedance shaping toolkit for "
@@ -564,7 +562,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", required=True, help="configuration file")
         if out:
-            p.add_argument("--out", required=(name != "synth"), help="output directory")
+            fallback = ", else [output] dir" if name in ("bode", "pzmap", "simulate") else ""
+            p.add_argument("--out", required=(name == "reproduce-paper"),
+                           help="output directory" + fallback)
         return p
 
     add("synth", "print controller gains and shaped parameters")
@@ -583,17 +583,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        cfg = _load_config(args.config) if args.command != "reproduce-paper" else None
         if args.command == "synth":
-            run_synth(_load_config(args.config),
-                      Path(args.out) if args.out else None)
+            run_synth(cfg, Path(args.out) if args.out else None)
         elif args.command == "bode":
-            run_bode(_load_config(args.config), Path(args.out), args.grid_points)
+            run_bode(cfg, _outdir(args.out, cfg), args.grid_points)
         elif args.command == "pzmap":
-            run_pzmap(_load_config(args.config), Path(args.out))
+            run_pzmap(cfg, _outdir(args.out, cfg))
         elif args.command == "simulate":
-            run_simulate(_load_config(args.config), Path(args.out), args.dt, args.horizon)
+            run_simulate(cfg, _outdir(args.out, cfg), args.dt, args.horizon)
         elif args.command == "verify":
-            lines, ok = run_verify(_load_config(args.config), args.seed)
+            lines, ok = run_verify(cfg, args.seed)
             print("\n".join(lines))
             if not ok:
                 return EXIT_VERIFY_FAILED

@@ -14,8 +14,8 @@ Sections: ``plant`` (required), ``controller`` (exactly one of the gain
 pair ``K_F``/``K_G`` or the shaped pair ``J_e``/``K_e``), ``outer_loop``,
 ``target``, ``nonlinear_target``, ``environment``, ``sweep`` (lists of
 ``K_F``, ``K_G``, or ``J_e`` values), ``sim`` (``dt``, ``T``, ``input``),
-``output`` (``dir``).  ``serialize_config`` emits a canonical form whose
-re-parse compares equal to the original.
+``output`` (``dir``, used when ``--out`` is not given).  ``serialize_config``
+emits a canonical form whose re-parse compares equal to the original.
 """
 
 from __future__ import annotations

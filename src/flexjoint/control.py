@@ -30,13 +30,16 @@ evaluation, and the extra Coriolis compensation lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import (
+    ConfigurationError,
     NotApplicableError,
     ParametrizationSingularError,
     ShapingInfeasibleError,
+    ValidationError,
 )
 from .linalg import (
     as_matrix,
@@ -47,17 +50,15 @@ from .linalg import (
     require_psd,
     require_spd,
     solve,
-    symmetry_error,
 )
 from .model import NonlinearRobotModel, OpenLoopState, RobotModel, as_model
-
-# Relative symmetry tolerance on D_e; beyond it the shaping is rejected.
-DE_SYMMETRY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
 class ShapedParams:
-    """Closed-loop inertia, stiffness, and damping (J_e, K_e, D_e)."""
+    """Closed-loop inertia, stiffness, and damping (J_e, K_e, D_e).  Building
+    one is the only admissibility check of a shaping (J_e, K_e SPD, D_e PSD);
+    a failure raises ``ShapingInfeasibleError`` naming the matrix."""
 
     J_e: np.ndarray
     K_e: np.ndarray
@@ -66,12 +67,8 @@ class ShapedParams:
     def __post_init__(self):
         n = np.atleast_2d(np.asarray(self.J_e, dtype=float)).shape[0]
         freeze(self, ("J_e", "K_e", "D_e"), n)
-        require_spd(self.J_e, "J_e", ShapingInfeasibleError)
-        require_spd(self.K_e, "K_e", ShapingInfeasibleError)
-        if symmetry_error(self.D_e) > DE_SYMMETRY_RTOL * max(float(np.max(np.abs(self.D_e))), 1.0):
-            raise ShapingInfeasibleError(
-                f"D_e is not symmetric (asymmetry {symmetry_error(self.D_e):.3e})", "D_e")
-        require_psd(self.D_e, "D_e", ShapingInfeasibleError)
+        for name, check in (("J_e", require_spd), ("K_e", require_spd), ("D_e", require_psd)):
+            check(getattr(self, name), name, partial(ShapingInfeasibleError, matrix_name=name))
 
     @property
     def n(self) -> int:
@@ -150,23 +147,19 @@ def synthesize_gains(m: RobotModel, J_e, K_e, q_ref=None):
     ------
     ShapingInfeasibleError
         If D_e fails to be symmetric positive semidefinite, or J_e / K_e
-        are not admissible.
+        are not admissible; ``matrix_name`` names the matrix.
     """
     model = as_model(m)
     n = model.n
     J_e = as_matrix(J_e, n, "J_e")
     K_e = as_matrix(K_e, n, "K_e")
-    require_spd(J_e, "J_e", ShapingInfeasibleError)
-    require_spd(K_e, "K_e", ShapingInfeasibleError)
-    M = _reference_mass(m, q_ref)
+    shaped = ShapedParams(J_e, K_e, model.D @ solve(model.K, K_e, "K"))
+    return gains_at(model, shaped, q_ref), shaped
 
-    D_e = model.D @ solve(model.K, K_e, "K")
-    shaped = ShapedParams(J_e, K_e, D_e)
 
-    JKinv = model.J @ np.linalg.inv(model.K)
-    K_H = JKinv @ K_e @ np.linalg.inv(J_e)
-    K_F, K_G = configuration_gains(model, K_e, K_H)(np.linalg.inv(M))
-    return ImpedanceGains(K_F, K_G, K_H), shaped
+def _input_gain(model: NonlinearRobotModel, sp: ShapedParams) -> np.ndarray:
+    """K_H = J K^-1 K_e J_e^-1, independent of the configuration."""
+    return model.J @ np.linalg.inv(model.K) @ sp.K_e @ np.linalg.inv(sp.J_e)
 
 
 def configuration_gains(m: NonlinearRobotModel, K_e: np.ndarray, K_H: np.ndarray):
@@ -182,14 +175,20 @@ def configuration_gains(m: NonlinearRobotModel, K_e: np.ndarray, K_H: np.ndarray
 
 
 def gains_at(m: RobotModel, sp: ShapedParams, q) -> ImpedanceGains:
-    """Gains consistent with the instantaneous mass matrix M(q).
+    """Gains consistent with the instantaneous mass matrix M(q): ``configuration_gains``
+    at M(q)^-1 and K_H = J K^-1 K_e J_e^-1, with ``sp`` used as built.
 
     On a constant-mass plant this is independent of ``q`` and equals the
     ``synthesize_gains`` result; on a varying-mass plant the force-feedback
     gain follows the configuration, which is what makes the shaped closed
     loop exact along trajectories.
     """
-    return synthesize_gains(m, sp.J_e, sp.K_e, q_ref=q)[0]
+    model = as_model(m)
+    if sp.n != model.n:
+        raise ValidationError(f"shaped parameters are {sp.n}-joint, plant is {model.n}-joint")
+    K_H = _input_gain(model, sp)
+    K_F, K_G = configuration_gains(model, sp.K_e, K_H)(np.linalg.inv(_reference_mass(m, q)))
+    return ImpedanceGains(K_F, K_G, K_H)
 
 
 def recover_shaped(m: RobotModel, K_F, K_G, q_ref=None) -> ShapedParams:
@@ -216,13 +215,6 @@ def recover_shaped(m: RobotModel, K_F, K_G, q_ref=None) -> ShapedParams:
     J_e = solve(denom, core, "K_F + K_G + I", ParametrizationSingularError)
     K_e = model.K @ solve(model.J, core, "J")
     D_e = model.D @ solve(model.J, core, "J")
-
-    for name, mat, check in (("J_e", J_e, require_spd), ("K_e", K_e, require_spd),
-                             ("D_e", D_e, require_psd)):
-        try:
-            check(mat, name, ShapingInfeasibleError)
-        except ShapingInfeasibleError as exc:
-            raise ShapingInfeasibleError(str(exc), name) from None
     return ShapedParams(J_e, K_e, D_e)
 
 
@@ -300,15 +292,11 @@ def check_gain_consistency(g: ImpedanceGains, sp: ShapedParams, m: RobotModel,
     Checks the identity K_H - K_G - K_F = I and K_H = J K^-1 K_e J_e^-1,
     both independent of the configuration.
     """
-    from .errors import ConfigurationError
-
-    model = as_model(m)
     scale = max(float(np.max(np.abs(g.K_H))), 1.0)
     if gain_consistency_error(g) > rtol * scale:
         raise ConfigurationError(
             f"gain triple violates K_H - K_G - K_F = I by {gain_consistency_error(g):.3e}")
-    K_H_expected = model.J @ solve(model.K, sp.K_e @ np.linalg.inv(sp.J_e), "K")
-    err = float(np.max(np.abs(g.K_H - K_H_expected)))
+    err = float(np.max(np.abs(g.K_H - _input_gain(as_model(m), sp))))
     if err > rtol * scale:
         raise ConfigurationError(
             f"K_H inconsistent with shaped parameters (deviation {err:.3e})")

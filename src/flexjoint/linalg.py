@@ -66,11 +66,6 @@ def symmetry_error(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.T))) if a.size else 0.0
 
 
-def is_symmetric(a: np.ndarray, rtol: float = 1e-9) -> bool:
-    scale = max(float(np.max(np.abs(a))), 1.0) if a.size else 1.0
-    return symmetry_error(a) <= rtol * scale
-
-
 def cholesky_lower(a: np.ndarray, rtol: float = SPD_PIVOT_RTOL) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
@@ -91,23 +86,25 @@ def cholesky_lower(a: np.ndarray, rtol: float = SPD_PIVOT_RTOL) -> np.ndarray:
     return L
 
 
-def require_symmetric(a: np.ndarray, name: str, err=ValidationError, rtol: float = 1e-9) -> None:
-    if not is_symmetric(a, rtol):
+def require_symmetric(a: np.ndarray, name: str, err=ValidationError) -> None:
+    """Raise ``err`` when the asymmetry exceeds ``1e-9 max(||a||_max, 1)``."""
+    scale = max(float(np.max(np.abs(a))), 1.0) if a.size else 1.0
+    if not symmetry_error(a) <= 1e-9 * scale:
         raise err(f"{name} is not symmetric (asymmetry {symmetry_error(a):.3e})")
 
 
-def require_spd(a: np.ndarray, name: str, err=ValidationError, sym_rtol: float = 1e-9) -> None:
+def require_spd(a: np.ndarray, name: str, err=ValidationError) -> None:
     """Check symmetry and positive definiteness; raise ``err`` on failure."""
-    require_symmetric(a, name, err, sym_rtol)
+    require_symmetric(a, name, err)
     try:
         cholesky_lower(0.5 * (a + a.T))
     except ValueError as exc:
         raise err(f"{name} is not positive definite ({exc})") from None
 
 
-def require_psd(a: np.ndarray, name: str, err=ValidationError, sym_rtol: float = 1e-9) -> None:
+def require_psd(a: np.ndarray, name: str, err=ValidationError) -> None:
     """Check symmetry and positive semidefiniteness; raise ``err`` on failure."""
-    require_symmetric(a, name, err, sym_rtol)
+    require_symmetric(a, name, err)
     w = np.linalg.eigvalsh(0.5 * (a + a.T))
     scale = max(float(np.max(np.abs(a))), 1.0)
     if w.size and w[0] < -1e-10 * scale:

@@ -43,15 +43,12 @@ _CANCEL_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Dense state-space system (A, B, C, Dmat) with port labels."""
+    """Dense state-space system (A, B, C, Dmat)."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     Dmat: np.ndarray
-    state_labels: tuple = ()
-    input_labels: tuple = ()
-    output_labels: tuple = ()
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -151,10 +148,6 @@ class PassivityVerdict:
     min_real: float | None = None     # minimum of Re tf(jw) over the grid
 
 
-def _state_labels(n: int, names=("q", "phi", "p", "z")) -> tuple:
-    return tuple(f"{name}{i + 1}" for name in names for i in range(n))
-
-
 def assemble_closed_loop(m: LinearRobotParams, sp: ShapedParams,
                          outer: OuterLoop | None = None) -> StateSpace:
     """Shaped closed loop as a state-space system.
@@ -198,14 +191,9 @@ def _shaped_loop(m: LinearRobotParams, sp: ShapedParams, outer: OuterLoop | None
         A[3 * n:, n:2 * n] -= outer.K_phi
         A[3 * n:, 3 * n:] -= outer.D_phi @ Jeinv
     B = np.vstack([Z, Z, np.eye(n), Z])
-    inputs = ("tau_e",)
     if env is not None:
         B = np.hstack([B, np.vstack([Z, Z, Z, np.eye(n)])])
-        inputs = ("tau_e", "tau_u")
-    return StateSpace(A, B, np.hstack([Z, Z, Minv, Z]), np.zeros((n, B.shape[1])),
-                      state_labels=_state_labels(n),
-                      input_labels=_state_labels(n, inputs),
-                      output_labels=_state_labels(n, ("qdot",)))
+    return StateSpace(A, B, np.hstack([Z, Z, Minv, Z]), np.zeros((n, B.shape[1])))
 
 
 def assemble_plant_loop(m: LinearRobotParams, g: ImpedanceGains,
@@ -258,10 +246,7 @@ def assemble_plant_loop(m: LinearRobotParams, g: ImpedanceGains,
     B = np.block([[Z, Z], [Z, Z], [I, Z], [g.K_F, g.K_H]])
     C = np.vstack([qdot, Phi, Phid, Tau])
     Dmat = np.vstack([np.zeros((3 * n, 2 * n)), np.hstack([g.K_F, g.K_H])])
-    return StateSpace(A, B, C, Dmat,
-                      state_labels=_state_labels(n, ("q", "theta", "p", "s")),
-                      input_labels=_state_labels(n, ("tau_e", "tau_u")),
-                      output_labels=_state_labels(n, ("qdot", "phi", "phidot", "tau")))
+    return StateSpace(A, B, C, Dmat)
 
 
 def assemble_coupled(m: LinearRobotParams, sp: ShapedParams, env: EnvironmentImpedance,
@@ -467,7 +452,7 @@ def positive_real_check(tf: RationalTF, grid=None) -> PassivityVerdict:
         grid = np.logspace(-2, 3, 400)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
 
-    poles, _ = poles_zeros(tf)
+    poles = aberth_roots(tf.den)     # the zeros play no part in the verdict
     tight, loose = 1e-9, 1e-6
     marginal = None
     for pole in sorted(poles, key=lambda v: (-v.real, abs(v.imag))):

@@ -31,10 +31,6 @@ def trim(coeffs, rtol: float = 1e-13) -> np.ndarray:
     return c[:keep].copy()
 
 
-def degree(coeffs) -> int:
-    return trim(coeffs).size - 1
-
-
 def polyval(coeffs, s):
     """Evaluate by Horner's rule; ``s`` may be complex and array-valued."""
     c = np.asarray(coeffs)

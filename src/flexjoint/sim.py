@@ -32,12 +32,12 @@ from .control import (
     ImpedanceGains,
     OuterLoop,
     ShapedParams,
+    _input_gain,
     check_gain_consistency,
     configuration_gains,
     control_law,
     outer_law,
     recover_shaped,
-    synthesize_gains,
 )
 from .errors import DivergenceError, ValidationError
 from .linalg import as_matrix, as_vector, matvec, pencil_max_frequency, quad_form
@@ -215,7 +215,7 @@ class _Resolved:
     n: int
     x0: OpenLoopState
     shaped: ShapedParams            # (J, K, D) for the bare plant
-    gains: ImpedanceGains           # K_F = K_G = 0, K_H = I for the bare plant
+    K_H: np.ndarray | None          # None for the bare plant
     dt: float
 
 
@@ -232,19 +232,18 @@ def _resolve(sc: Scenario, need_controller: bool = False) -> _Resolved:
         if need_controller:
             raise ValidationError("this simulation requires a controller")
         # the bare plant is the identity shaping, whose control torque is zero
-        gains = ImpedanceGains(np.zeros((n, n)), np.zeros((n, n)), np.eye(n))
-        shaped = ShapedParams(model.J, model.K, model.D)
+        shaped, K_H = ShapedParams(model.J, model.K, model.D), None
     elif isinstance(sc.controller, ShapedParams):
         shaped = sc.controller
-        gains, _ = synthesize_gains(model, shaped.J_e, shaped.K_e, q_ref=x0.q)
+        if shaped.n != n:
+            raise ValidationError(f"controller is {shaped.n}-joint, plant is {n}-joint")
+        K_H = _input_gain(model, shaped)
     elif isinstance(sc.controller, ImpedanceGains):
-        gains = sc.controller
-        shaped = recover_shaped(model, gains.K_F, gains.K_G, q_ref=x0.q)
-        check_gain_consistency(gains, shaped, model)
+        shaped = recover_shaped(model, sc.controller.K_F, sc.controller.K_G, q_ref=x0.q)
+        check_gain_consistency(sc.controller, shaped, model)
+        K_H = sc.controller.K_H
     else:
         raise ValidationError(f"unsupported controller type {type(sc.controller).__name__}")
-    if shaped.n != n:
-        raise ValidationError(f"controller is {shaped.n}-joint, plant is {n}-joint")
     if sc.outer is not None:
         if sc.controller is None:
             raise ValidationError("an outer loop requires a controller")
@@ -263,7 +262,7 @@ def _resolve(sc: Scenario, need_controller: bool = False) -> _Resolved:
             f"(margin {STABILITY_MARGIN:g} over the fastest elastic mode)")
     if sc.T < dt:
         raise ValidationError("horizon T must be at least one step")
-    return _Resolved(model, n, x0, shaped, gains, dt)
+    return _Resolved(model, n, x0, shaped, K_H, dt)
 
 
 def _default_dt(cap: float) -> float:
@@ -368,7 +367,7 @@ def _simulate(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
     K, J_e, K_e = model.K, shaped.J_e, shaped.K_e
     Jinv, Jeinv = np.linalg.inv(model.J), np.linalg.inv(J_e)
     to_shaped, to_plant = np.linalg.solve(K_e, K), np.linalg.solve(K, K_e)
-    K_H = r.gains.K_H
+    K_H = r.K_H
     gains_at_mass = configuration_gains(model, K_e, K_H)
     bare = sc.controller is None
     link = model if env is None else as_model(replace(sc.plant, M=sc.plant.M + env.M_h))

@@ -31,9 +31,10 @@ from .control import (
     nonlinear_control,
 )
 from .errors import TransformSingularError
-from .linalg import as_vector, solve
+from .linalg import as_vector, matvec, solve
 from .model import (
     ChartState,
+    NonlinearRobotModel,
     OpenLoopState,
     RobotModel,
     as_model,
@@ -63,14 +64,21 @@ def switch_chart(q, a, qdot, adot, S):
     return q + (a - q) @ S.T, qdot + (adot - qdot) @ S.T
 
 
-def to_closed(x: OpenLoopState, sp: ShapedParams, m: RobotModel) -> ClosedLoopState:
-    """Map the plant state into the shaped chart; M(q) at the state's q."""
-    model = as_model(m)
-    qdot = solve(model.mass_of(x.q), x.p, "mass matrix")
-    thdot = solve(model.J, x.s, "J")
+def _chart_map(xv: np.ndarray, sp: ShapedParams, model: NonlinearRobotModel) -> np.ndarray:
+    """The plant-to-shaped map of packed states ``(..., 4n) -> (..., 4n)``,
+    one batched solve with M(q) and one with J per call."""
+    q, theta, p, s = (xv[..., k * model.n:(k + 1) * model.n] for k in range(4))
+    qdot = solve(model.mass_of(q), p[..., None], "mass matrix")[..., 0]
+    thdot = solve(model.J, s[..., None], "J")[..., 0]
     S = solve(sp.K_e, model.K, "K_e", TransformSingularError)
-    phi, phidot = switch_chart(x.q, x.theta, qdot, thdot, S)
-    return ClosedLoopState(x.q, phi, x.p, sp.J_e @ phidot)
+    phi, phidot = switch_chart(q, theta, qdot, thdot, S)
+    return np.concatenate([q, phi, p, matvec(sp.J_e, phidot)], axis=-1)
+
+
+def to_closed(x: OpenLoopState, sp: ShapedParams, m: RobotModel) -> ClosedLoopState:
+    """Map the plant state into the shaped chart; M(q) at the state's q.
+    The array chart map on one state, as a validated ``ClosedLoopState``."""
+    return ClosedLoopState.unpack(_chart_map(x.pack(), sp, as_model(m)), x.n)
 
 
 def from_closed(y: ClosedLoopState, sp: ShapedParams, m: RobotModel) -> OpenLoopState:
@@ -115,7 +123,10 @@ def equivalence_residual(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains,
     Evaluates the plant field under the control law at ``x``, pushes it
     through the Jacobian of the coordinate change (a five-point directional
     stencil, exact for the constant-mass case where the transform is
-    linear), and subtracts the shaped field at the transformed state.
+    linear), and subtracts the shaped field at the transformed state.  The
+    stencil maps its four points ``x + c h x'``, c = -2, -1, 1, 2, in one
+    batched call; it differentiates ``mass_of`` itself, so a ``dmass_of``
+    that disagrees with ``mass_of`` shows up in the residual.
 
     Returns
     -------
@@ -134,9 +145,6 @@ def equivalence_residual(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains,
     tau_u = as_vector(tau_u, n, "tau_u")
     check_gain_consistency(g, sp, model)
 
-    def transform(vec: np.ndarray) -> np.ndarray:
-        return to_closed(OpenLoopState.unpack(vec, n), sp, model).pack()
-
     # on a constant-mass plant C = 0, so this is linear_control with g
     gains = g if model.constant_mass else gains_at(model, sp, x.q)
     tau = nonlinear_control(x, tau_e, tau_u, gains, model)
@@ -144,8 +152,8 @@ def equivalence_residual(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains,
     dx = open_loop_field(x, tau_e, tau, model).pack()
     # directional derivative of the transform along the flow
     h = 1e-3 * max(float(np.linalg.norm(xv)), 1.0) / max(float(np.linalg.norm(dx)), 1e-9)
-    dy_pushed = (transform(xv - 2 * h * dx) - 8.0 * transform(xv - h * dx)
-                 + 8.0 * transform(xv + h * dx) - transform(xv + 2 * h * dx)) / (12.0 * h)
+    y = _chart_map(xv + np.array([[-2.0], [-1.0], [1.0], [2.0]]) * h * dx, sp, model)
+    dy_pushed = (y[0] - 8.0 * y[1] + 8.0 * y[2] - y[3]) / (12.0 * h)
     dy_shaped = closed_loop_field(to_closed(x, sp, model), tau_e, tau_u, sp, model).pack()
     scale = max(float(np.max(np.abs(dy_shaped))), RESIDUAL_FLOOR)
     return float(np.max(np.abs(dy_pushed - dy_shaped))) / scale

@@ -178,6 +178,21 @@ class TestSimulate:
                      "--out", str(tmp_path), "--dt", "1e-2"])
         assert code == EXIT_INFEASIBLE
 
+    def test_output_dir_from_config(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "study.cfg"
+        path.write_text(FAST_SIM + "\n[output]\ndir = results\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(path)]) == EXIT_OK
+        assert (tmp_path / "results" / "sim.csv").exists()
+        assert main(["simulate", "--config", str(path), "--out", "flag"]) == EXIT_OK
+        assert (tmp_path / "flag" / "sim.csv").exists()
+
+    @pytest.mark.parametrize("command", ["bode", "pzmap", "simulate"])
+    def test_missing_output_dir_names_both_sources(self, command, fast_cfg_path, capsys):
+        assert main([command, "--config", str(fast_cfg_path)]) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "--out" in err and "[output] dir" in err
+
     def test_cli_non_finite_values_are_configuration_errors(self, fast_cfg_path, tmp_path):
         code = main(["simulate", "--config", str(fast_cfg_path),
                      "--out", str(tmp_path), "--horizon", "nan"])

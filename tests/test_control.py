@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import flexjoint.control
+import flexjoint.sim
 from conftest import rand_admissible_shaping, rand_plant, rand_spd
 from flexjoint import (
     ImpedanceGains,
@@ -9,12 +11,16 @@ from flexjoint import (
     OpenLoopState,
     OuterLoop,
     ParametrizationSingularError,
+    Scenario,
+    ShapedParams,
     ShapingInfeasibleError,
+    ValidationError,
     colgate_interval,
     linear_control,
     nonlinear_control,
     outer_loop_torque,
     recover_shaped,
+    simulate_plant_with_controller,
     synthesize_gains,
 )
 from flexjoint.control import gain_consistency_error, gains_at
@@ -58,6 +64,13 @@ class TestSynthesizeGains:
         K_e = rand_spd(rng, 2, 0.5, 3.0)
         with pytest.raises(ShapingInfeasibleError):
             synthesize_gains(plant, np.eye(2), K_e)
+
+    @pytest.mark.parametrize("J_e, K_e, name", [(-1.0, 1e6, "J_e"), (1.0, -1e6, "K_e"),
+                                                 (1.0, 0.0, "K_e")])
+    def test_infeasible_names_offender(self, paper_plant, J_e, K_e, name):
+        with pytest.raises(ShapingInfeasibleError) as exc:
+            synthesize_gains(paper_plant, J_e, K_e)
+        assert exc.value.matrix_name == name
 
     def test_lossless_flag_for_undamped_plant(self, demo_arm):
         _, sp = synthesize_gains(demo_arm, np.eye(2), 2.0 * demo_arm.K)
@@ -103,6 +116,60 @@ class TestRecoverShaped:
         with pytest.raises(ShapingInfeasibleError) as exc:
             recover_shaped(paper_plant, 1.5, 0.0)   # J - K_F M < 0
         assert exc.value.matrix_name in ("J_e", "K_e", "D_e")
+
+
+class TestShapedParams:
+    def test_indefinite_damping_names_offender(self):
+        with pytest.raises(ShapingInfeasibleError) as exc:
+            ShapedParams(1.0, 1.0, -1.0)
+        assert exc.value.matrix_name == "D_e"
+        assert "positive semidefinite" in str(exc.value)
+
+    def test_asymmetric_damping_names_offender(self):
+        with pytest.raises(ShapingInfeasibleError) as exc:
+            ShapedParams(np.eye(2), np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+        assert exc.value.matrix_name == "D_e"
+        assert "not symmetric" in str(exc.value)
+
+
+class TestChecksRunOnce:
+    """Each admissibility check runs once, in ShapedParams, and nothing
+    downstream of a built ShapedParams re-synthesizes the gains."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"spd": 0, "psd": 0, "synth": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(flexjoint.control, "require_spd",
+                            counting("spd", flexjoint.control.require_spd))
+        monkeypatch.setattr(flexjoint.control, "require_psd",
+                            counting("psd", flexjoint.control.require_psd))
+        synth = counting("synth", flexjoint.control.synthesize_gains)
+        monkeypatch.setattr(flexjoint.control, "synthesize_gains", synth)
+        monkeypatch.setattr(flexjoint.sim, "synthesize_gains", synth, raising=False)
+        return counts
+
+    def test_synthesize_gains(self, paper_plant, counts):
+        synthesize_gains(paper_plant, 1.5, 5e5)
+        assert (counts["spd"], counts["psd"]) == (2, 1)
+
+    def test_recover_shaped(self, paper_plant, counts):
+        recover_shaped(paper_plant, 0.9, 4.0)
+        assert (counts["spd"], counts["psd"]) == (2, 1)
+
+    def test_built_shaping_is_used_as_given(self, demo_arm, counts):
+        _, sp = synthesize_gains(demo_arm, 0.5 * np.eye(2), 2.0 * demo_arm.K)
+        counts.update(spd=0, psd=0, synth=0)
+        gains_at(demo_arm, sp, np.array([0.3, 1.1]))
+        simulate_plant_with_controller(Scenario(plant=demo_arm, controller=sp,
+                                                T=1e-3, dt=5e-5))
+        assert counts == {"spd": 0, "psd": 0, "synth": 0}
 
 
 class TestColgateInterval:
@@ -220,3 +287,16 @@ class TestGainsAt:
         gb = gains_at(demo_arm, sp, np.array([0.0, 2.0]))
         assert not np.allclose(ga.K_F, gb.K_F)
         assert np.allclose(ga.K_H, gb.K_H)   # K_H does not involve the mass
+
+    def test_matches_synthesis_at_the_configuration(self, demo_arm):
+        _, sp = synthesize_gains(demo_arm, 0.5 * np.eye(2), 2.0 * demo_arm.K)
+        q = np.array([0.4, -1.2])
+        g = synthesize_gains(demo_arm, sp.J_e, sp.K_e, q_ref=q)[0]
+        ga = gains_at(demo_arm, sp, q)
+        for a, b in ((ga.K_F, g.K_F), (ga.K_G, g.K_G), (ga.K_H, g.K_H)):
+            assert np.array_equal(a, b)
+
+    def test_joint_count_mismatch_is_a_validation_error(self, paper_plant, demo_arm):
+        _, sp = synthesize_gains(demo_arm, np.eye(2), 2.0 * demo_arm.K)
+        with pytest.raises(ValidationError):
+            gains_at(paper_plant, sp, np.zeros(1))

@@ -292,6 +292,15 @@ class TestPositiveReal:
         assert v.verdict == "not-passive"
         assert v.condition == "negative residue at imaginary-axis pole"
 
+    def test_verdict_needs_no_zeros(self):
+        # Aberth fails on this numerator (of a random n = 3 design); the
+        # verdict depends on the poles only, so it must still be given
+        num = [85356.97739933849, 19121066613085.785, 2498659819465.384,
+               2238779314491.1616, 150864908345.04465, 59270371396.649574,
+               529376649.3877739, 48319724.03422368, 250105.74320346105]
+        v = positive_real_check(RationalTF(num, [1.0, 1.0]))
+        assert v.verdict == "not-passive"
+
     def test_shaped_loop_with_outer_is_passive(self, paper_plant):
         sp = recover_shaped(paper_plant, 0.9, 4.0)
         tf = ss_to_tf(assemble_closed_loop(paper_plant, sp, OUTER))

@@ -96,6 +96,12 @@ class TestScenarioValidation:
         simulate_plant_with_controller(sc)
         assert len(calls) == 1
 
+    def test_controller_joint_count_mismatch_rejected(self, paper_plant, demo_arm):
+        _, sp = synthesize_gains(demo_arm, np.eye(2), 2.0 * demo_arm.K)
+        with pytest.raises(ValidationError):
+            simulate_plant_with_controller(Scenario(plant=paper_plant, controller=sp,
+                                                    T=0.01, dt=1e-5))
+
     def test_outer_loop_requires_controller(self, paper_plant):
         sc = Scenario(plant=paper_plant, outer=OuterLoop(100.0, 10.0), T=0.01, dt=1e-5)
         with pytest.raises(ValidationError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,20 @@ class TestEquivalence:
                                        g, sp, demo_arm)
             worst = max(worst, res)
         assert worst <= 1e-8
+
+    def test_inconsistent_mass_gradient_detected(self, demo_arm):
+        # the stencil differentiates mass_of itself, so a dmass_of that
+        # disagrees with it breaks the certificate instead of cancelling
+        # against the Coriolis compensation of the control law
+        bad = dataclasses.replace(demo_arm, dmass_of=lambda q: 1.3 * demo_arm.dmass_of(q))
+        g, sp = synthesize_gains(bad, 0.5 * np.eye(2), 2.0 * bad.K)
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(50):
+            x = OpenLoopState.unpack(rng.normal(0, 0.6, 8), 2)
+            worst = max(worst, equivalence_residual(x, rng.normal(0, 2, 2),
+                                                    rng.normal(0, 2, 2), g, sp, bad))
+        assert worst > 1e-4
 
     def test_identity_shaping_is_exact(self, paper_plant):
         g, sp = synthesize_gains(paper_plant, paper_plant.J, paper_plant.K)
