@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .control import (
     ImpedanceGains,
     OuterLoop,
@@ -75,4 +77,5 @@ from .transform import (
     to_closed,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

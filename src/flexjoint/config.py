@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,9 +32,6 @@ from .linalg import as_matrix, as_vector
 from .lti import EnvironmentImpedance, TargetImpedance
 from .model import LinearRobotParams, two_link_arm
 from .sim import InputSignal
-
-_KNOWN_SECTIONS = ("plant", "controller", "outer_loop", "target", "nonlinear_target",
-                   "environment", "sweep", "sim", "output")
 
 _CALL_RE = re.compile(r"^([a-zA-Z_][a-zA-Z0-9_]*)\((.*)\)$")
 
@@ -52,6 +49,9 @@ class ExperimentConfig:
     sweep: dict = field(default_factory=dict)
     sim: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
+
+
+_KNOWN_SECTIONS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 @dataclass(frozen=True)
@@ -144,17 +144,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if "plant" not in sections:
         raise ConfigurationError("missing required [plant] section")
-    cfg = ExperimentConfig(
-        plant=sections.get("plant", {}),
-        controller=sections.get("controller"),
-        outer_loop=sections.get("outer_loop"),
-        target=sections.get("target"),
-        nonlinear_target=sections.get("nonlinear_target"),
-        environment=sections.get("environment"),
-        sweep=sections.get("sweep", {}),
-        sim=sections.get("sim", {}),
-        output=sections.get("output", {}),
-    )
+    cfg = ExperimentConfig(**sections)
     validate_config(cfg)
     return cfg
 

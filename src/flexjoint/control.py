@@ -39,7 +39,6 @@ from .errors import (
     NotApplicableError,
     ParametrizationSingularError,
     ShapingInfeasibleError,
-    ValidationError,
 )
 from .linalg import (
     as_matrix,
@@ -183,9 +182,7 @@ def gains_at(m: RobotModel, sp: ShapedParams, q) -> ImpedanceGains:
     gain follows the configuration, which is what makes the shaped closed
     loop exact along trajectories.
     """
-    model = as_model(m)
-    if sp.n != model.n:
-        raise ValidationError(f"shaped parameters are {sp.n}-joint, plant is {model.n}-joint")
+    model = as_model(m, sp)
     K_H = _input_gain(model, sp)
     K_F, K_G = configuration_gains(model, sp.K_e, K_H)(np.linalg.inv(_reference_mass(m, q)))
     return ImpedanceGains(K_F, K_G, K_H)
@@ -237,7 +234,7 @@ def control_law(K_F, K_G, K_H, force, tau_a, tau_u) -> np.ndarray:
 
 def _reference_control(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains, m: RobotModel,
                        coriolis: bool) -> np.ndarray:
-    model = as_model(m)
+    model = as_model(m, x, g)
     n = model.n
     tau_e = as_vector(tau_e, n, "tau_e")
     tau_u = as_vector(tau_u, n, "tau_u")
@@ -265,7 +262,7 @@ def nonlinear_control(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains,
 def outer_loop_torque(phi, phi_dot, o: OuterLoop, m: RobotModel) -> np.ndarray:
     """Outer-loop torque; gbar(phi) is the model gravity gradient at phi
     when gravity compensation is enabled, zero otherwise."""
-    model = as_model(m)
+    model = as_model(m, o)
     n = model.n
     phi = as_vector(phi, n, "phi")
     phi_dot = as_vector(phi_dot, n, "phi_dot")
@@ -285,18 +282,18 @@ def gain_consistency_error(g: ImpedanceGains) -> float:
     return float(np.max(np.abs(g.K_H - g.K_G - g.K_F - np.eye(g.n))))
 
 
-def check_gain_consistency(g: ImpedanceGains, sp: ShapedParams, m: RobotModel,
-                           rtol: float = 1e-8) -> None:
+def check_gain_consistency(g: ImpedanceGains, sp: ShapedParams, m: RobotModel) -> None:
     """Verify that a gain triple matches the shaped parametrization.
 
     Checks the identity K_H - K_G - K_F = I and K_H = J K^-1 K_e J_e^-1,
-    both independent of the configuration.
+    both independent of the configuration, to 1e-8 of max(||K_H||_max, 1).
     """
+    model = as_model(m, g, sp)
     scale = max(float(np.max(np.abs(g.K_H))), 1.0)
-    if gain_consistency_error(g) > rtol * scale:
+    if gain_consistency_error(g) > 1e-8 * scale:
         raise ConfigurationError(
             f"gain triple violates K_H - K_G - K_F = I by {gain_consistency_error(g):.3e}")
-    err = float(np.max(np.abs(g.K_H - _input_gain(as_model(m), sp))))
-    if err > rtol * scale:
+    err = float(np.max(np.abs(g.K_H - _input_gain(model, sp))))
+    if err > 1e-8 * scale:
         raise ConfigurationError(
             f"K_H inconsistent with shaped parameters (deviation {err:.3e})")

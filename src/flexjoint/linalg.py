@@ -62,18 +62,26 @@ def freeze(obj, names, n: int, coerce=as_matrix) -> None:
         object.__setattr__(obj, name, arr)
 
 
+def require_joints(n: int, parts, err=ValidationError) -> None:
+    """Raise ``err`` naming the first part, not None, whose joint count ``.n``
+    differs from the plant's ``n``."""
+    for part in parts:
+        if part is not None and part.n != n:
+            raise err(f"{type(part).__name__} is {part.n}-joint, plant is {n}-joint")
+
+
 def symmetry_error(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.T))) if a.size else 0.0
 
 
-def cholesky_lower(a: np.ndarray, rtol: float = SPD_PIVOT_RTOL) -> np.ndarray:
+def cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
     Raises ValueError when any pivot ``L[k, k]^2`` falls below
-    ``rtol * ||a||_inf``, or when LAPACK meets a nonpositive one.
+    ``SPD_PIVOT_RTOL * ||a||_inf``, or when LAPACK meets a nonpositive one.
     """
     norm = float(np.max(np.abs(a))) if a.size else 0.0
-    thresh = rtol * max(norm, np.finfo(float).tiny)
+    thresh = SPD_PIVOT_RTOL * max(norm, np.finfo(float).tiny)
     try:
         L = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:

@@ -33,7 +33,7 @@ from .errors import (
     NotApplicableError,
     ValidationError,
 )
-from .linalg import freeze, require_psd, require_spd
+from .linalg import freeze, require_joints, require_psd, require_spd
 from .model import LinearRobotParams
 from .poly import aberth_roots, poly_from_roots, polyadd, polyder, polyval, trim
 
@@ -168,10 +168,7 @@ def _shaped_loop(m: LinearRobotParams, sp: ShapedParams, outer: OuterLoop | None
     if not isinstance(m, LinearRobotParams):
         raise ValidationError("state-space assembly requires a constant-mass plant")
     n = m.n
-    for what, part in (("shaped parameters are", sp), ("outer loop is", outer),
-                       ("environment is", env)):
-        if part is not None and part.n != n:
-            raise AssemblyError(f"{what} {part.n}-joint, plant is {n}-joint")
+    require_joints(n, (sp, outer, env), AssemblyError)
     Z = np.zeros((n, n))
     M_h, D_h, K_h = (Z, Z, Z) if env is None else (env.M_h, env.D_h, env.K_h)
     try:
@@ -221,8 +218,7 @@ def assemble_plant_loop(m: LinearRobotParams, g: ImpedanceGains,
     if not isinstance(m, LinearRobotParams):
         raise ValidationError("state-space assembly requires a constant-mass plant")
     n = m.n
-    if g.n != n:
-        raise AssemblyError(f"gains are {g.n}-joint, plant is {n}-joint")
+    require_joints(n, (g, outer), AssemblyError)
     try:
         Minv = np.linalg.inv(m.M)
         Jinv = np.linalg.inv(m.J)
@@ -237,8 +233,6 @@ def assemble_plant_loop(m: LinearRobotParams, g: ImpedanceGains,
     Phid = Ninv @ np.hstack([Z, Z, -g.K_F, I])
     Tu = np.zeros((n, 4 * n))
     if outer is not None:
-        if outer.n != n:
-            raise AssemblyError(f"outer loop is {outer.n}-joint, plant is {n}-joint")
         Tu = -outer.K_phi @ Phi - outer.D_phi @ Phid
     Tau = -g.K_G @ Ta + g.K_H @ Tu
     qdot = np.hstack([Z, Z, Minv, Z])
@@ -316,15 +310,15 @@ def _faddeev_leverrier(A: np.ndarray, B: np.ndarray, C: np.ndarray):
     return den_desc[::-1].copy(), num_desc[::-1].copy()
 
 
-def _clean_coeffs(c: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
-    """Zero out coefficients that are negligible against the norm.
+def _clean_coeffs(c: np.ndarray) -> np.ndarray:
+    """Zero out coefficients at or below 1e-9 of the largest.
 
     The recursion leaves rounding residue where coefficients are exactly
     zero (e.g. rigid-body modes); without cleaning, a double root at the
     origin splits into a spurious pair of magnitude sqrt(noise).
     """
     out = c.copy()
-    out[np.abs(out) <= rtol * float(np.max(np.abs(out)))] = 0.0
+    out[np.abs(out) <= 1e-9 * float(np.max(np.abs(out)))] = 0.0
     return out
 
 

@@ -32,6 +32,7 @@ from .linalg import (
     freeze,
     matvec,
     quad_form,
+    require_joints,
     require_psd,
     require_spd,
     solve,
@@ -219,10 +220,14 @@ class NonlinearRobotModel:
 RobotModel = LinearRobotParams | NonlinearRobotModel
 
 
-def as_model(m: RobotModel) -> NonlinearRobotModel:
+def as_model(m: RobotModel, *parts) -> NonlinearRobotModel:
     """Promote plant parameters to the general model form, built once per
-    parameter set."""
-    return m if isinstance(m, NonlinearRobotModel) else m._model
+    parameter set.  Each part that is not None (a state, shaping, gain set,
+    outer loop or environment) must have the plant's joint count, else
+    ``ValidationError`` names it."""
+    model = m if isinstance(m, NonlinearRobotModel) else m._model
+    require_joints(model.n, parts)
+    return model
 
 
 class ChartState:
@@ -276,7 +281,7 @@ def open_loop_energy(x: OpenLoopState, m: RobotModel) -> float:
     Kinetic terms in both momenta, elastic energy of the joint deflection,
     plus the gravity potential.
     """
-    model = as_model(m)
+    model = as_model(m, x)
     qdot = solve(model.mass_of(x.q), x.p, "mass matrix", DegenerateModelError)
     thdot = solve(model.J, x.s, "J", DegenerateModelError)
     return float(chart_energy(x.q, x.theta, x.p, x.s, qdot, thdot, model.K)
@@ -285,7 +290,7 @@ def open_loop_energy(x: OpenLoopState, m: RobotModel) -> float:
 
 def open_loop_field(x: OpenLoopState, tau_e, tau, m: RobotModel) -> OpenLoopState:
     """Open-loop vector field; the returned container holds time derivatives."""
-    model = as_model(m)
+    model = as_model(m, x)
     n = model.n
     tau_e = as_vector(tau_e, n, "tau_e")
     tau = as_vector(tau, n, "tau")

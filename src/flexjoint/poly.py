@@ -17,8 +17,8 @@ ROOT_RESIDUAL_RTOL = 1e-8
 _CONJ_SNAP_RTOL = 1e-8
 
 
-def trim(coeffs, rtol: float = 1e-13) -> np.ndarray:
-    """Drop negligible leading (highest-order) coefficients."""
+def trim(coeffs) -> np.ndarray:
+    """Drop leading (highest-order) coefficients at or below 1e-13 of the largest."""
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
     if c.ndim != 1 or c.size == 0:
         raise ValidationError("coefficients must be a non-empty 1-D sequence")
@@ -26,7 +26,7 @@ def trim(coeffs, rtol: float = 1e-13) -> np.ndarray:
     if scale == 0.0:
         return np.zeros(1)
     keep = c.size
-    while keep > 1 and abs(c[keep - 1]) <= rtol * scale:
+    while keep > 1 and abs(c[keep - 1]) <= 1e-13 * scale:
         keep -= 1
     return c[:keep].copy()
 
@@ -93,9 +93,9 @@ def _initial_circle(c: np.ndarray) -> np.ndarray:
     return center + radius * np.exp(1j * angles)
 
 
-def _aberth_iterate(c: np.ndarray, z: np.ndarray, max_iter: int) -> np.ndarray:
+def _aberth_iterate(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     dc = np.arange(1, c.size) * c[1:]
-    for _ in range(max_iter):
+    for _ in range(400):        # the iteration budget
         p = polyval(c, z)
         dp = polyval(dc, z)
         dp = np.where(dp == 0.0, np.finfo(float).eps, dp)
@@ -135,7 +135,7 @@ def _enforce_conjugates(roots: np.ndarray) -> np.ndarray:
     return np.array(sorted(out, key=lambda r: (r.real, r.imag)), dtype=complex)
 
 
-def aberth_roots(coeffs, max_iter: int = 400) -> np.ndarray:
+def aberth_roots(coeffs) -> np.ndarray:
     """All roots of a real polynomial via simultaneous iteration.
 
     Exact zero constant terms are factored out as roots at the origin;
@@ -169,7 +169,7 @@ def aberth_roots(coeffs, max_iter: int = 400) -> np.ndarray:
             r2 = a0 / qf if qf != 0 else 0.0 + 0.0j
             roots.extend([complex(r1), complex(r2)])
         else:
-            z = _aberth_iterate(cn, _initial_circle(cn), max_iter)
+            z = _aberth_iterate(cn, _initial_circle(cn))
             roots.extend(complex(v) for v in z)
 
     out = _enforce_conjugates(np.array(roots, dtype=complex))

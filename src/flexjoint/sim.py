@@ -93,6 +93,11 @@ class InputSignal:
             return self.amplitude if t >= self.start else 0.0
         return self.amplitude * math.sin(self.frequency * t)
 
+    def require_joint(self, n: int) -> None:
+        """Raise ``ValidationError`` unless the signal acts on one of n joints."""
+        if self.kind != "zero" and self.joint >= n:
+            raise ValidationError(f"input joint {self.joint} out of range for n={n}")
+
     def torque(self, t: float, n: int) -> np.ndarray:
         out = np.zeros(n)
         if self.kind != "zero":
@@ -212,47 +217,43 @@ def _divergence(time: float) -> DivergenceError:
 @dataclass(frozen=True)
 class _Resolved:
     model: NonlinearRobotModel
-    n: int
     x0: OpenLoopState
     shaped: ShapedParams            # (J, K, D) for the bare plant
     K_H: np.ndarray | None          # None for the bare plant
-    dt: float
+    cap: float                      # the stability cap on the step
 
 
 def _resolve(sc: Scenario, need_controller: bool = False) -> _Resolved:
-    model = as_model(sc.plant)
+    """Validate a scenario's parts and resolve its controller; the step is
+    left to ``_step``."""
+    if not isinstance(sc.controller, (ShapedParams, ImpedanceGains, type(None))):
+        raise ValidationError(f"unsupported controller type {type(sc.controller).__name__}")
+    model = as_model(sc.plant, sc.x0, sc.controller, sc.outer, sc.environment)
     n = model.n
     x0 = sc.x0 if sc.x0 is not None else OpenLoopState.zero(n)
-    if x0.n != n:
-        raise ValidationError(f"initial state is {x0.n}-joint, plant is {n}-joint")
-    if sc.input.kind != "zero" and sc.input.joint >= n:
-        raise ValidationError(f"input joint {sc.input.joint} out of range for n={n}")
+    sc.input.require_joint(n)
 
     if sc.controller is None:
         if need_controller:
             raise ValidationError("this simulation requires a controller")
+        if sc.outer is not None:
+            raise ValidationError("an outer loop requires a controller")
         # the bare plant is the identity shaping, whose control torque is zero
         shaped, K_H = ShapedParams(model.J, model.K, model.D), None
     elif isinstance(sc.controller, ShapedParams):
         shaped = sc.controller
-        if shaped.n != n:
-            raise ValidationError(f"controller is {shaped.n}-joint, plant is {n}-joint")
         K_H = _input_gain(model, shaped)
-    elif isinstance(sc.controller, ImpedanceGains):
+    else:
         shaped = recover_shaped(model, sc.controller.K_F, sc.controller.K_G, q_ref=x0.q)
         check_gain_consistency(sc.controller, shaped, model)
         K_H = sc.controller.K_H
-    else:
-        raise ValidationError(f"unsupported controller type {type(sc.controller).__name__}")
-    if sc.outer is not None:
-        if sc.controller is None:
-            raise ValidationError("an outer loop requires a controller")
-        if sc.outer.n != n:
-            raise ValidationError(f"outer loop is {sc.outer.n}-joint, plant is {n}-joint")
-    if sc.environment is not None and sc.environment.n != n:
-        raise ValidationError(f"environment is {sc.environment.n}-joint, plant is {n}-joint")
-
     cap = _dt_cap(model, x0.q, shaped if sc.controller is not None else None, sc)
+    return _Resolved(model, x0, shaped, K_H, cap)
+
+
+def _step(sc: Scenario, cap: float) -> float:
+    """The scenario's step, or a default below ``cap``, checked against the
+    cap and the horizon."""
     dt = sc.dt if sc.dt is not None else _default_dt(cap)
     if not 0.0 < dt < math.inf:
         raise ValidationError("dt must be positive and finite")
@@ -262,7 +263,7 @@ def _resolve(sc: Scenario, need_controller: bool = False) -> _Resolved:
             f"(margin {STABILITY_MARGIN:g} over the fastest elastic mode)")
     if sc.T < dt:
         raise ValidationError("horizon T must be at least one step")
-    return _Resolved(model, n, x0, shaped, K_H, dt)
+    return dt
 
 
 def _default_dt(cap: float) -> float:
@@ -275,13 +276,9 @@ def _default_dt(cap: float) -> float:
 
 
 def stability_dt_cap(sc: Scenario) -> float:
-    """Largest admissible step, 1/(20 w_max) over the scenario's pencils."""
-    model = as_model(sc.plant)
-    q0 = sc.x0.q if sc.x0 is not None else np.zeros(model.n)
-    shaped = sc.controller
-    if isinstance(shaped, ImpedanceGains):
-        shaped = recover_shaped(model, shaped.K_F, shaped.K_G, q_ref=q0)
-    return _dt_cap(model, q0, shaped, sc)
+    """Largest admissible step, 1/(20 w_max) over the scenario's pencils;
+    the scenario's own ``dt`` and ``T`` are not checked."""
+    return _resolve(sc).cap
 
 
 def _dt_cap(model: NonlinearRobotModel, q0: np.ndarray, shaped: ShapedParams | None,
@@ -363,7 +360,9 @@ def _simulate(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
     on the sample matrix; on a constant-mass plant both are affine and
     ``_propagate`` applies the exact RK4 step matrix.
     """
-    model, n, shaped, outer, env, signal = r.model, r.n, r.shaped, sc.outer, sc.environment, sc.input
+    dt = _step(sc, r.cap)
+    model, shaped, outer, env, signal = r.model, r.shaped, sc.outer, sc.environment, sc.input
+    n = model.n
     K, J_e, K_e = model.K, shaped.J_e, shaped.K_e
     Jinv, Jeinv = np.linalg.inv(model.J), np.linalg.inv(J_e)
     to_shaped, to_plant = np.linalg.solve(K_e, K), np.linalg.solve(K, K_e)
@@ -436,10 +435,10 @@ def _simulate(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
         x0 = np.concatenate([q, phi, p, phidot @ J_e.T])
 
     if isinstance(sc.plant, LinearRobotParams):
-        t, supply, sr = _propagate(field, series, power, x0, signal, r.dt, sc.T)
+        t, supply, sr = _propagate(field, series, power, x0, signal, dt, sc.T)
     else:
         t, X = integrate(lambda time, xa: field(xa[:-1], signal.torque(time, n)),
-                         np.append(x0, 0.0), r.dt, sc.T)
+                         np.append(x0, 0.0), dt, sc.T)
         supply, sr = X[:, -1], series(X[:, :-1], signal.torque_series(t, n))
     q, theta, p, s, phi, z, qdot, phidot, tau_u, tau_e, tau = sr
     H = chart_energy(q, phi, p, z, qdot, phidot, K_e) + model.potential_of(q)
@@ -451,7 +450,7 @@ def _simulate(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
     if bare:                        # the bare plant has no shaped coordinates
         phi = z = tau_u = None
     return SimResult(t, q, p, theta, s, phi, z, tau, tau_e, tau_u, H, supply,
-                     chart=chart, dt=r.dt)
+                     chart=chart, dt=dt)
 
 
 def _propagate(field, series, power, x0, signal: InputSignal, h: float, T: float):
@@ -525,6 +524,7 @@ def simulate_target_dynamics(m: RobotModel, K_theta, D_theta, q_d, signal: Input
     """Reference trajectory of M(q) q'' + (C + D_theta) q' + K_theta (q - q_d) = tau_e."""
     model = as_model(m)
     n = model.n
+    signal.require_joint(n)
     K_theta = as_matrix(K_theta, n, "K_theta")
     D_theta = as_matrix(D_theta, n, "D_theta")
     q_d = as_vector(q_d, n, "q_d")

@@ -78,12 +78,12 @@ def _chart_map(xv: np.ndarray, sp: ShapedParams, model: NonlinearRobotModel) -> 
 def to_closed(x: OpenLoopState, sp: ShapedParams, m: RobotModel) -> ClosedLoopState:
     """Map the plant state into the shaped chart; M(q) at the state's q.
     The array chart map on one state, as a validated ``ClosedLoopState``."""
-    return ClosedLoopState.unpack(_chart_map(x.pack(), sp, as_model(m)), x.n)
+    return ClosedLoopState.unpack(_chart_map(x.pack(), sp, as_model(m, x, sp)), x.n)
 
 
 def from_closed(y: ClosedLoopState, sp: ShapedParams, m: RobotModel) -> OpenLoopState:
     """Exact inverse of ``to_closed``."""
-    model = as_model(m)
+    model = as_model(m, y, sp)
     qdot = solve(model.mass_of(y.q), y.p, "mass matrix")
     phidot = solve(sp.J_e, y.z, "J_e", TransformSingularError)
     S = solve(model.K, sp.K_e, "K", TransformSingularError)
@@ -93,7 +93,7 @@ def from_closed(y: ClosedLoopState, sp: ShapedParams, m: RobotModel) -> OpenLoop
 
 def closed_loop_energy(y: ClosedLoopState, sp: ShapedParams, m: RobotModel) -> float:
     """Shaped total energy; the storage function of the closed loop."""
-    model = as_model(m)
+    model = as_model(m, y, sp)
     qdot = solve(model.mass_of(y.q), y.p, "mass matrix")
     phidot = solve(sp.J_e, y.z, "J_e", TransformSingularError)
     return float(chart_energy(y.q, y.phi, y.p, y.z, qdot, phidot, sp.K_e)
@@ -108,7 +108,7 @@ def closed_loop_field(y: ClosedLoopState, tau_e, tau_u, sp: ShapedParams,
     gradient of ``closed_loop_energy``; for a varying mass matrix the
     kinetic gradient term enters the p equation.
     """
-    model = as_model(m)
+    model = as_model(m, y, sp)
     n = model.n
     tau_e = as_vector(tau_e, n, "tau_e")
     tau_u = as_vector(tau_u, n, "tau_u")
@@ -139,7 +139,7 @@ def equivalence_residual(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains,
     ConfigurationError
         If the gain triple is inconsistent with the shaped parameters.
     """
-    model = as_model(m)
+    model = as_model(m, x, g, sp)
     n = model.n
     tau_e = as_vector(tau_e, n, "tau_e")
     tau_u = as_vector(tau_u, n, "tau_u")

@@ -241,6 +241,12 @@ class TestFreqResponse:
         assert np.isinf(mag[0])
         assert np.isnan(phase[0])
 
+    def test_state_space_exact_pole_is_infinite(self):
+        # 1/s: the point on the pole is inf, the others are finite
+        out = evaluate(StateSpace([[0.0]], [[1.0]], [[1.0]], [[0.0]]), [0.0, 1j])
+        assert np.isinf(out[0])
+        assert out[1] == -1j
+
     def test_rejects_negative_frequency(self):
         from flexjoint import ValidationError
         with pytest.raises(ValidationError):

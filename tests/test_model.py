@@ -1,4 +1,5 @@
 import pickle
+import types
 
 import numpy as np
 import pytest
@@ -215,6 +216,16 @@ class TestValidation:
         np.testing.assert_array_equal(as_model(clone).mass_of(q), model.mass_of(q))
         np.testing.assert_array_equal(pickle.loads(pickle.dumps(model)).dmass_of(q),
                                       np.zeros((3, 1, 1, 1)))
+
+    def test_star_import_exports_no_module(self):
+        import flexjoint
+        public = {name for name in dir(flexjoint) if not name.startswith("_")
+                  and not isinstance(getattr(flexjoint, name), types.ModuleType)}
+        assert set(flexjoint.__all__) == public
+        assert len(flexjoint.__all__) == 60
+        namespace = {}
+        exec("from flexjoint import *", namespace)
+        assert not any(isinstance(v, types.ModuleType) for v in namespace.values())
 
     def test_scalar_broadcast(self, paper_plant):
         assert paper_plant.M.shape == (1, 1)

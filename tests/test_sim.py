@@ -78,6 +78,17 @@ class TestScenarioValidation:
         sc = Scenario(plant=paper_plant, T=1.0)
         assert stability_dt_cap(sc) == pytest.approx(1.0 / (20.0 * 816.4966), rel=1e-6)
 
+    def test_dt_cap_ignores_the_scenario_step(self, paper_plant):
+        # the cap of a scenario whose dt exceeds it, or whose T is shorter
+        # than one default step, is the cap of the same scenario without them
+        _, sp = synthesize_gains(paper_plant, 1.5, 5e5)
+        for controller in (None, sp, ImpedanceGains(0.9, 4.0, 5.9)):
+            cap = stability_dt_cap(Scenario(plant=paper_plant, controller=controller))
+            assert stability_dt_cap(Scenario(plant=paper_plant, controller=controller,
+                                             dt=1e-3)) == cap
+            assert stability_dt_cap(Scenario(plant=paper_plant, controller=controller,
+                                             T=1e-7)) == cap
+
     def test_too_coarse_dt_rejected(self, paper_plant):
         sc = Scenario(plant=paper_plant, T=1.0, dt=1e-3)
         with pytest.raises(ValidationError):
@@ -409,6 +420,15 @@ class TestTargetDynamics:
                                        signal, 1.5, 1e-4)
         assert res.q[-1, 1] == pytest.approx(0.01, rel=1e-3)
         assert res.q[-1, 0] == pytest.approx(0.0, abs=1e-6)
+
+    def test_input_joint_out_of_range_rejected(self, demo_arm):
+        signal = InputSignal.step(10.0, joint=2)
+        with pytest.raises(ValidationError, match="input joint 2 out of range for n=2"):
+            simulate_target_dynamics(demo_arm, 1000.0 * np.eye(2), 135.0 * np.eye(2), 0.0,
+                                     signal, 0.01, 5e-5)
+        with pytest.raises(ValidationError, match="input joint 2 out of range for n=2"):
+            simulate_plant_with_controller(Scenario(plant=demo_arm, input=signal,
+                                                    T=0.01, dt=5e-5))
 
     def test_matches_velocity_form_reference(self, gravity_arm):
         # M(q) q'' = tau_e - (C(q, q') + D_theta) q' - K_theta (q - q_d) - grad V(q)
