@@ -38,6 +38,7 @@ from .model import LinearRobotParams
 from .poly import aberth_roots, poly_from_roots, polyadd, polyder, polyval, trim
 
 MAX_TF_STATES = 20
+_SOLVE_BLOCK = 64       # points per stacked solve in ``evaluate``; bounds its memory
 _CANCEL_RTOL = 1e-8
 
 
@@ -376,9 +377,9 @@ def ss_to_tf(ss: StateSpace, input_index: int = 0, output_index: int = 0) -> Rat
 def evaluate(sys, svals) -> np.ndarray:
     """Complex response of a RationalTF or StateSpace at points ``svals``.
 
-    The state-space path solves (sI - A) x = B per point rather than going
-    through polynomial coefficients.  Points landing exactly on a pole
-    yield ``inf``.
+    The state-space path solves ``(sI - A) x = B`` in fixed blocks of
+    stacked points rather than going through polynomial coefficients.  Points landing exactly on a pole yield ``inf``.  The
+    output has the shape of the input (a scalar gives one point).
     """
     svals = np.atleast_1d(np.asarray(svals, dtype=complex))
     if isinstance(sys, RationalTF):
@@ -393,16 +394,44 @@ def evaluate(sys, svals) -> np.ndarray:
         if sys.n_inputs != 1 or sys.n_outputs != 1:
             raise ValidationError("frequency evaluation expects a single input/output pair; "
                                   "select one with ss_to_tf or slice B and C")
-        out = np.empty(svals.shape, dtype=complex)
-        I = np.eye(sys.n_states)
-        for i, s in enumerate(svals):
-            try:
-                x = np.linalg.solve(s * I - sys.A, sys.B[:, 0])
-                out[i] = sys.C[0, :] @ x + sys.Dmat[0, 0]
-            except np.linalg.LinAlgError:
-                out[i] = np.inf
-        return out
+        flat = svals.ravel()
+        out = np.empty(flat.shape, dtype=complex)
+        for lo in range(0, flat.size, _SOLVE_BLOCK):
+            out[lo:lo + _SOLVE_BLOCK] = _resolvent_block(sys, flat[lo:lo + _SOLVE_BLOCK])
+        return out.reshape(svals.shape)
     raise ValidationError(f"unsupported system type {type(sys).__name__}")
+
+
+def _resolvent_block(sys: StateSpace, s: np.ndarray) -> np.ndarray:
+    """``C (s_k I - A)^-1 B + D`` for each point of ``s``, from one stacked solve.
+
+    A batched solve raises for the whole stack when any member is exactly
+    singular; only then are those members found (``slogdet`` sign 0, the
+    same LU pivot test), set to ``inf``, and the rest solved.
+    """
+    n = sys.n_states
+    Z = np.empty((s.size, n, n), dtype=complex)
+    Z[:] = -sys.A
+    Z.reshape(s.size, n * n)[:, ::n + 1] += s[:, None]
+    b = np.broadcast_to(sys.B, (s.size, n, 1))
+    out = np.full(s.size, np.inf + 0.0j)
+    try:
+        x = np.linalg.solve(Z, b)
+    except np.linalg.LinAlgError:
+        ok = np.linalg.slogdet(Z)[0] != 0
+        x = np.linalg.solve(Z[ok], b[ok])
+    else:
+        ok = slice(None)
+    out[ok] = x[..., 0] @ sys.C[0] + sys.Dmat[0, 0]
+    return out
+
+
+def _check_frequencies(omegas) -> np.ndarray:
+    """Angular frequencies as a float array; finite and nonnegative, else ValidationError."""
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if np.any(omegas < 0.0) or not np.all(np.isfinite(omegas)):
+        raise ValidationError("frequencies must be finite and nonnegative")
+    return omegas
 
 
 def freq_response(sys, omegas):
@@ -411,10 +440,7 @@ def freq_response(sys, omegas):
     Frequencies landing exactly on an imaginary-axis pole are flagged with
     an infinite magnitude.
     """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if np.any(omegas < 0.0) or not np.all(np.isfinite(omegas)):
-        raise ValidationError("frequencies must be finite and nonnegative")
-    H = evaluate(sys, 1j * omegas)
+    H = evaluate(sys, 1j * _check_frequencies(omegas))
     with np.errstate(divide="ignore", invalid="ignore"):
         mag_db = 20.0 * np.log10(np.abs(H))
     phase_deg = np.where(np.isfinite(H), np.degrees(np.angle(H)), np.nan)
@@ -444,7 +470,7 @@ def positive_real_check(tf: RationalTF, grid=None) -> PassivityVerdict:
     """
     if grid is None:
         grid = np.logspace(-2, 3, 400)
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    grid = _check_frequencies(grid)
 
     poles = aberth_roots(tf.den)     # the zeros play no part in the verdict
     tight, loose = 1e-9, 1e-6

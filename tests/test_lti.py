@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_admissible_shaping, rand_plant, rand_spd
 from flexjoint import (
@@ -29,6 +33,19 @@ from flexjoint.lti import evaluate
 
 PAPER_TARGET = TargetImpedance(1, 3.0, 10.0, 100.0)
 OUTER = OuterLoop(100.0, 10.0)
+
+
+def per_point_response(ss, svals):
+    """Reference resolvent of a SISO system: one solve per point, inf on a pole."""
+    out = np.empty(len(svals), dtype=complex)
+    for i, s in enumerate(svals):
+        try:
+            x = np.linalg.solve(s * np.eye(ss.n_states) - ss.A, ss.B[:, 0])
+        except np.linalg.LinAlgError:
+            out[i] = np.inf
+        else:
+            out[i] = ss.C[0] @ x + ss.Dmat[0, 0]
+    return out
 
 
 def open_loop_matrix(plant):
@@ -247,6 +264,54 @@ class TestFreqResponse:
         assert np.isinf(out[0])
         assert out[1] == -1j
 
+    def test_state_space_exact_pole_past_first_block(self):
+        # 1/s on 200 points: the pole at point 130 sits in a later block of
+        # the stacked solve; only it reads inf, the rest match a per-point solve
+        ss = StateSpace([[0.0]], [[1.0]], [[1.0]], [[0.0]])
+        s = 1j * np.logspace(-2, 2, 200)
+        s[130] = 0.0
+        out = evaluate(ss, s)
+        assert np.isinf(out[130])
+        assert np.array_equal(np.delete(out, 130), np.delete(per_point_response(ss, s), 130))
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 2), (3, 2), (2, 3, 1), (0,), (2, 0)], ids=str)
+    def test_state_space_keeps_point_shape(self, shape):
+        # two states, so a row of two points must not broadcast against sI - A
+        ss = StateSpace([[0.0, 1.0], [-4.0, -0.4]], [[0.0], [1.0]], [[0.0, 1.0]], [[0.0]])
+        tf = RationalTF([0.0, 1.0], [4.0, 0.4, 1.0])
+        s = 1j * np.linspace(0.5, 3.0, int(np.prod(shape))).reshape(shape)
+        want = evaluate(tf, s)
+        got = evaluate(ss, s)
+        assert got.shape == want.shape == np.atleast_1d(s).shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), points=st.integers(1, 300))
+    def test_state_space_matches_per_point_solve(self, seed, n, points):
+        rng = np.random.default_rng(seed)
+        plant = rand_plant(rng, n)
+        _, sp = synthesize_gains(plant, *rand_admissible_shaping(rng, plant))
+        ss = assemble_closed_loop(plant, sp, OuterLoop(100.0 * np.eye(n), 10.0 * np.eye(n)))
+        ss = StateSpace(ss.A, ss.B[:, :1], ss.C[:1], ss.Dmat[:1, :1])
+        s = 1j * 10.0 ** rng.uniform(-2.0, 4.0, points)
+        want = per_point_response(ss, s)
+        assert np.all(np.abs(evaluate(ss, s) - want) <= 1e-12 * np.abs(want))
+
+    def test_state_space_memory_is_bounded_by_the_block(self):
+        # a 16-state system on 20,000 points; one stack for the whole grid
+        # would trace about 84 MiB
+        rng = np.random.default_rng(0)
+        A = rng.normal(size=(16, 16))
+        ss = StateSpace(A, rng.normal(size=(16, 1)), rng.normal(size=(1, 16)), [[0.0]])
+        s = 1j * np.logspace(-2, 4, 20000)
+        tracemalloc.start()
+        try:
+            evaluate(ss, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_rejects_negative_frequency(self):
         from flexjoint import ValidationError
         with pytest.raises(ValidationError):
@@ -313,6 +378,12 @@ class TestPositiveReal:
         v = positive_real_check(tf)
         assert v.verdict == "passive"
         assert v.min_real >= -1e-9
+
+    @pytest.mark.parametrize("grid", [[-1.0, np.nan, 1.0], [-1.0, 1.0], [1.0, np.inf]])
+    def test_rejects_invalid_grid(self, grid):
+        from flexjoint import ValidationError
+        with pytest.raises(ValidationError):
+            positive_real_check(RationalTF([1.0], [1.0, 1.0]), grid)
 
     def test_gain_outside_interval_fails_upstream(self, paper_plant):
         from flexjoint import ShapingInfeasibleError
