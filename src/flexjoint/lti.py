@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .control import ImpedanceGains, OuterLoop, ShapedParams
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .linalg import freeze, require_joints, require_psd, require_spd
 from .model import LinearRobotParams
-from .poly import aberth_roots, poly_from_roots, polyadd, polyder, polyval, trim
+from .poly import aberth_roots, poly_from_roots, trim
 
 MAX_TF_STATES = 20
 _SOLVE_BLOCK = 64       # points per stacked solve in ``evaluate``; bounds its memory
@@ -367,7 +368,7 @@ def ss_to_tf(ss: StateSpace, input_index: int = 0, output_index: int = 0) -> Rat
     d = float(ss.Dmat[output_index, input_index])
     den, num = _faddeev_leverrier(ss.A, b, c)
     if d != 0.0:
-        num = polyadd(num, d * den)
+        num = P.polyadd(num, d * den)
     num = _clean_coeffs(trim(num))
     den = _clean_coeffs(trim(den))
     num, den, cancelled = _cancel_common_roots(num, den)
@@ -384,8 +385,8 @@ def evaluate(sys, svals) -> np.ndarray:
     svals = np.atleast_1d(np.asarray(svals, dtype=complex))
     if isinstance(sys, RationalTF):
         with np.errstate(divide="ignore", invalid="ignore"):
-            numv = polyval(sys.num, svals)
-            denv = polyval(sys.den, svals)
+            numv = P.polyval(svals, sys.num)
+            denv = P.polyval(svals, sys.den)
             out = np.where(denv == 0.0,
                            np.inf + 0.0j,
                            numv / np.where(denv == 0.0, 1.0, denv))
@@ -453,8 +454,8 @@ def poles_zeros(tf: RationalTF):
 
 
 def _residue_at_simple_pole(tf: RationalTF, pole: complex) -> complex:
-    dden = polyval(polyder(tf.den), pole)
-    return complex(polyval(tf.num, pole) / dden)
+    dden = P.polyval(pole, P.polyder(tf.den))
+    return complex(P.polyval(pole, tf.num) / dden)
 
 
 def positive_real_check(tf: RationalTF, grid=None) -> PassivityVerdict:

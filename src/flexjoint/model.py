@@ -299,8 +299,7 @@ def open_loop_field(x: OpenLoopState, tau_e, tau, m: RobotModel) -> OpenLoopStat
 
 
 def two_link_arm(link_lengths, link_masses, motor_inertias, joint_stiffness,
-                 joint_damping, gravity: bool = False, com_offsets=None,
-                 link_inertias=None, g: float = 9.81) -> NonlinearRobotModel:
+                 joint_damping, gravity: bool = False) -> NonlinearRobotModel:
     """Planar two-link arm with elastic joints.
 
     The link dynamics use the standard planar form: with shorthand
@@ -310,8 +309,8 @@ def two_link_arm(link_lengths, link_masses, motor_inertias, joint_stiffness,
         M12 = m2 lc2^2 + I2 + b c2
         M22 = m2 lc2^2 + I2
 
-    Centers of mass default to mid-link and link inertias to the uniform
-    rod value ``m l^2 / 12``.  With ``gravity`` off the arm moves in a
+    The links are uniform rods: centers of mass at mid-link and link
+    inertias ``m l^2 / 12``.  With ``gravity`` off the arm moves in a
     horizontal plane and the potential is identically zero.
 
     Parameters
@@ -324,24 +323,14 @@ def two_link_arm(link_lengths, link_masses, motor_inertias, joint_stiffness,
         Transmission stiffness (SPD) and damping (PSD), scalar, per-joint,
         or full 2 x 2.
     gravity : bool
-        Include gravity acting along -y of the link plane.
+        Include gravity, ``g = 9.81`` m/s^2, acting along -y of the link plane.
     """
     l1, l2 = (float(v) for v in link_lengths)
     m1, m2 = (float(v) for v in link_masses)
     if min(l1, l2, m1, m2) <= 0.0:
         raise ValidationError("link lengths and masses must be positive")
-    if com_offsets is None:
-        lc1, lc2 = 0.5 * l1, 0.5 * l2
-    else:
-        lc1, lc2 = (float(v) for v in com_offsets)
-        if min(lc1, lc2) <= 0.0:
-            raise ValidationError("center-of-mass offsets must be positive")
-    if link_inertias is None:
-        I1, I2 = m1 * l1 ** 2 / 12.0, m2 * l2 ** 2 / 12.0
-    else:
-        I1, I2 = (float(v) for v in link_inertias)
-        if min(I1, I2) <= 0.0:
-            raise ValidationError("link inertias must be positive")
+    lc1, lc2 = 0.5 * l1, 0.5 * l2
+    I1, I2 = m1 * l1 ** 2 / 12.0, m2 * l2 ** 2 / 12.0
 
     Jm = as_matrix(motor_inertias, 2, "motor_inertias")
     if np.any(np.diag(Jm) <= 0.0):
@@ -362,8 +351,8 @@ def two_link_arm(link_lengths, link_masses, motor_inertias, joint_stiffness,
         return np.sin(q[..., 1])[..., None, None, None] * dM1
 
     if gravity:
-        g1 = (m1 * lc1 + m2 * l1) * g
-        g2 = m2 * lc2 * g
+        g1 = (m1 * lc1 + m2 * l1) * 9.81
+        g2 = m2 * lc2 * 9.81
 
         def potential_of(q):
             return g1 * np.sin(q[..., 0]) + g2 * np.sin(q[..., 0] + q[..., 1])

@@ -86,13 +86,6 @@ class InputSignal:
     def sinusoid(cls, amplitude: float, frequency: float, joint: int = 0) -> "InputSignal":
         return cls("sinusoid", float(amplitude), joint, 0.0, float(frequency))
 
-    def scalar(self, t: float) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "step":
-            return self.amplitude if t >= self.start else 0.0
-        return self.amplitude * math.sin(self.frequency * t)
-
     def require_joint(self, n: int) -> None:
         """Raise ``ValidationError`` unless the signal acts on one of n joints."""
         if self.kind != "zero" and self.joint >= n:
@@ -100,8 +93,10 @@ class InputSignal:
 
     def torque(self, t: float, n: int) -> np.ndarray:
         out = np.zeros(n)
-        if self.kind != "zero":
-            out[self.joint] = self.scalar(t)
+        if self.kind == "step":
+            out[self.joint] = self.amplitude if t >= self.start else 0.0
+        elif self.kind == "sinusoid":
+            out[self.joint] = self.amplitude * math.sin(self.frequency * t)
         return out
 
     def torque_series(self, times: np.ndarray, n: int) -> np.ndarray:
@@ -175,8 +170,8 @@ class TargetResult:
     qdot: np.ndarray
 
 
-def integrate(field, x0, dt: float, T: float, t0: float = 0.0):
-    """Classical fixed-step RK4 over [t0, t0 + T].
+def integrate(field, x0, dt: float, T: float):
+    """Classical fixed-step RK4 over [0, T].
 
     ``field(t, x)`` returns the state derivative.  The horizon is rounded
     to a whole number of steps.  Returns ``(t, X)`` with states in rows.
@@ -198,16 +193,16 @@ def integrate(field, x0, dt: float, T: float, t0: float = 0.0):
     sixth = dt / 6.0
     half = 0.5 * dt
     for k in range(nsteps):
-        t = t0 + k * dt
+        t = k * dt
         k1 = field(t, x)
         k2 = field(t + half, x + half * k1)
         k3 = field(t + half, x + half * k2)
         k4 = field(t + dt, x + dt * k3)
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         if not np.all(np.isfinite(x)):
-            raise _divergence(t0 + (k + 1) * dt)
+            raise _divergence((k + 1) * dt)
         out[k + 1] = x
-    return t0 + dt * np.arange(nsteps + 1), out
+    return dt * np.arange(nsteps + 1), out
 
 
 def _divergence(time: float) -> DivergenceError:
@@ -267,8 +262,6 @@ def _step(sc: Scenario, cap: float) -> float:
 
 
 def _default_dt(cap: float) -> float:
-    if not np.isfinite(cap):
-        return 1e-3
     x = 0.5 * cap
     exp = math.floor(math.log10(x)) - 1
     scale = 10.0 ** exp
@@ -286,14 +279,13 @@ def _dt_cap(model: NonlinearRobotModel, q0: np.ndarray, shaped: ShapedParams | N
     n = model.n
     Mq = model.mass_of(q0)
     Z = np.zeros((n, n))
-    wmax = 0.0
 
     def pencil(mass_blocks, stiff):
         mass = np.block([[mass_blocks[0], Z], [Z, mass_blocks[1]]])
         return pencil_max_frequency(stiff, mass)
 
     stiff_open = np.block([[model.K, -model.K], [-model.K, model.K]])
-    wmax = max(wmax, pencil((Mq, model.J), stiff_open))
+    wmax = pencil((Mq, model.J), stiff_open)
 
     if shaped is not None:
         Kq = shaped.K_e + (sc.environment.K_h if sc.environment is not None else Z)
@@ -302,7 +294,8 @@ def _dt_cap(model: NonlinearRobotModel, q0: np.ndarray, shaped: ShapedParams | N
         stiff_shaped = np.block([[Kq, -shaped.K_e], [-shaped.K_e, Kp]])
         wmax = max(wmax, pencil((Mlink, shaped.J_e), stiff_shaped))
 
-    return float("inf") if wmax == 0.0 else 1.0 / (STABILITY_MARGIN * wmax)
+    # K is SPD, so the open pencil always has a positive frequency
+    return 1.0 / (STABILITY_MARGIN * wmax)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import subprocess
 import sys
 
@@ -5,10 +6,13 @@ import numpy as np
 import pytest
 
 from flexjoint.cli import (
+    EXIT_DIVERGED,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    EXIT_VERIFY_FAILED,
     ONEDOF_STUDY,
     main,
+    reproduce_paper,
     run_bode,
     run_pzmap,
     run_simulate,
@@ -201,6 +205,43 @@ class TestSimulate:
         path.write_text(FAST_SIM.replace("input = step(1, 1, 0)", "input = step(nan, 1, 0)"),
                         encoding="utf-8")
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == EXIT_INFEASIBLE
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exits_1(self, tmp_path, capsys):
+        # a finite input so large that the state overflows on the first steps
+        path = tmp_path / "huge_input.cfg"
+        path.write_text(FAST_SIM.replace("input = step(1, 1, 0)", "input = step(1e308, 1, 0)"),
+                        encoding="utf-8")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == EXIT_DIVERGED
+        assert "state became non-finite" in capsys.readouterr().err
+
+
+class TestReproducePaper:
+    """The 1-DOF studies run for real; the two-link sweep is stubbed with
+    three summary rows, since its integration takes about a minute."""
+
+    @staticmethod
+    def _sweep(l2_values):
+        def run_simulate_stub(cfg, outdir, dt=None, horizon=None):
+            return [(f"sim_je{i + 1}", float(i + 1), l2, 0.0, 1.0, 1.0)
+                    for i, l2 in enumerate(l2_values)]
+        return run_simulate_stub
+
+    def test_every_claim_passes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("flexjoint.cli.run_simulate", self._sweep([0.3, 0.2, 0.1]))
+        summary = reproduce_paper(tmp_path / "direct")
+        with open(tmp_path / "direct" / "summary.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["check", "status", "detail"]
+        assert len(rows) == 17 and len(summary) == 16
+        assert [row[1] for row in rows[1:]] == ["pass"] * 16
+        assert main(["reproduce-paper", "--out", str(tmp_path / "main")]) == EXIT_OK
+        assert "completed in" in capsys.readouterr().out
+
+    def test_failed_claim_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("flexjoint.cli.run_simulate", self._sweep([0.3, 0.3, 0.1]))
+        assert main(["reproduce-paper", "--out", str(tmp_path)]) == EXIT_VERIFY_FAILED
+        assert "FAIL sim_l2_strictly_decreasing_in_sweep" in capsys.readouterr().out
 
 
 def test_write_csv_number_format(tmp_path):

@@ -30,6 +30,7 @@ from flexjoint import (
     target_admittance,
 )
 from flexjoint.lti import evaluate
+from flexjoint.poly import aberth_roots
 
 PAPER_TARGET = TargetImpedance(1, 3.0, 10.0, 100.0)
 OUTER = OuterLoop(100.0, 10.0)
@@ -364,13 +365,25 @@ class TestPositiveReal:
         assert v.condition == "negative residue at imaginary-axis pole"
 
     def test_verdict_needs_no_zeros(self):
-        # Aberth fails on this numerator (of a random n = 3 design); the
-        # verdict depends on the poles only, so it must still be given
+        # The root certificate refuses this numerator (of a random n = 3
+        # design): near its root s = -188.6 the terms reach 4e23, so rounding
+        # alone leaves |p| near 1e8, above 1e-8 of the coefficient norm.  The
+        # verdict depends on the poles only, so it must still be given.
+        from flexjoint import RootFindingError
         num = [85356.97739933849, 19121066613085.785, 2498659819465.384,
                2238779314491.1616, 150864908345.04465, 59270371396.649574,
                529376649.3877739, 48319724.03422368, 250105.74320346105]
+        with pytest.raises(RootFindingError) as info:
+            aberth_roots(num)
+        assert info.value.residuals is not None and info.value.residuals.size == 8
         v = positive_real_check(RationalTF(num, [1.0, 1.0]))
         assert v.verdict == "not-passive"
+
+    def test_rejects_non_finite_coefficients(self):
+        # a NaN coefficient must not reach the verdict
+        from flexjoint import ValidationError
+        with pytest.raises(ValidationError, match="finite"):
+            RationalTF([1.0, 1.0], [1.0, np.nan, 1.0, 1.0])
 
     def test_shaped_loop_with_outer_is_passive(self, paper_plant):
         sp = recover_shaped(paper_plant, 0.9, 4.0)

@@ -1,21 +1,16 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
-from flexjoint.poly import (
-    aberth_roots,
-    poly_from_roots,
-    polyadd,
-    polyder,
-    polymul,
-    polyval,
-    trim,
-)
+from flexjoint import ValidationError
+from flexjoint.poly import aberth_roots, poly_from_roots, trim
 
 
 def test_polyval_horner():
+    # numpy's ascending order matches ours; the point comes first:
     # 2 + 3 s + s^2 at s = 2 -> 12
-    assert polyval([2.0, 3.0, 1.0], 2.0) == pytest.approx(12.0)
-    vals = polyval([1.0, 0.0, 1.0], np.array([1j, 2j]))
+    assert P.polyval(2.0, [2.0, 3.0, 1.0]) == pytest.approx(12.0)
+    vals = P.polyval(np.array([1j, 2j]), [1.0, 0.0, 1.0])
     assert vals[0] == pytest.approx(0.0)
     assert vals[1] == pytest.approx(-3.0)
 
@@ -26,10 +21,12 @@ def test_trim_drops_leading_noise():
     assert trim([0.0]).tolist() == [0.0]
 
 
-def test_polyder_polymul_polyadd():
-    assert polyder([5.0, 3.0, 2.0]).tolist() == [3.0, 4.0]
-    assert polymul([1.0, 1.0], [1.0, 1.0]).tolist() == [1.0, 2.0, 1.0]
-    assert polyadd([1.0, 1.0], [1.0]).tolist() == [2.0, 1.0]
+@pytest.mark.parametrize("bad", [[1.0, np.nan, 1.0, 2.0], [1.0, np.inf, 1.0, 2.0]])
+def test_non_finite_coefficients_are_rejected(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        trim(bad)
+    with pytest.raises(ValidationError, match="finite"):
+        aberth_roots(bad)
 
 
 def test_quadratic_roots_match_formula():
@@ -42,8 +39,32 @@ def test_quadratic_roots_match_formula():
 
 
 def test_double_root():
-    roots = aberth_roots(polymul([1.0, 1.0], [1.0, 1.0]))   # (s+1)^2
+    # numpy's companion eigenvalues are exactly -1 twice, so the iteration
+    # starts from coincident points
+    roots = aberth_roots(P.polymul([1.0, 1.0], [1.0, 1.0]))   # (s+1)^2
     assert np.all(np.abs(roots + 1.0) <= 1e-6)
+
+
+@pytest.mark.parametrize("true", [[-1.0, -1.0, 0.5], [-1.0, -1.0 - 1e-6, 2.0]],
+                         ids=["double-root", "roots-1e-6-apart"])
+def test_coincident_starts_return_every_root(true):
+    # both start the iteration from nearly coincident eigenvalues
+    roots = aberth_roots(poly_from_roots(true))
+    assert roots.size == 3 and np.all(np.isfinite(roots))
+    assert np.all(np.abs(np.sort_complex(roots) - np.sort(true)) <= 1e-5)
+
+
+def test_known_roots_are_recovered():
+    # real roots and conjugate pairs, multiplied out by poly_from_roots
+    rng = np.random.default_rng(34)
+    for _ in range(40):
+        real = rng.normal(0, 3, int(rng.integers(0, 5)))
+        k = int(rng.integers(1 if real.size == 0 else 0, 3))
+        upper = rng.normal(0, 3, k) + 1j * rng.uniform(0.1, 3.0, k)
+        true = np.sort_complex(np.concatenate([real, upper, np.conj(upper)]))
+        roots = np.sort_complex(aberth_roots(poly_from_roots(true)))
+        assert roots.size == true.size
+        assert np.max(np.abs(roots - true)) <= 1e-7 * max(1.0, float(np.max(np.abs(true))))
 
 
 def test_origin_roots_are_exact():
@@ -80,13 +101,13 @@ def test_residual_contract():
         roots_true = rng.normal(0, 2, 5)
         c = poly_from_roots(roots_true, leading=rng.uniform(0.5, 2.0))
         roots = aberth_roots(c)
-        residuals = np.abs(polyval(c, roots))
+        residuals = np.abs(P.polyval(roots, c))
         assert np.max(residuals) <= 1e-8 * np.max(np.abs(c))
 
 
 def test_widely_scaled_coefficients():
     # stiffness-scale polynomial: s (0.15 s^2 + 0.3 s + 3e5)
-    c = polymul([0.0, 1.0], [3e5, 0.3, 0.15])
+    c = P.polymul([0.0, 1.0], [3e5, 0.3, 0.15])
     roots = aberth_roots(c)
     assert np.min(np.abs(roots)) == 0.0
     fast = roots[np.argmax(np.abs(roots))]
