@@ -184,6 +184,8 @@ def run_bode(cfg: ExperimentConfig, outdir: Path, grid_points: int = 400):
     err_db is the system's max magnitude deviation from the target
     admittance over the grid (0 for the target itself).
     """
+    if grid_points < 1:
+        raise ConfigurationError(f"grid_points must be at least 1, got {grid_points}")
     plant, outer, combos, tf_target = _gain_study(cfg, "bode")
     grid = np.logspace(-2, 3, grid_points)
     mag_target, phase_target = freq_response(tf_target, grid)
@@ -343,6 +345,8 @@ def _rand_spd(rng, n, lo=0.5, hi=2.0):
 
 def run_verify(cfg: ExperimentConfig, seed: int = 0):
     """Randomized self-checks; returns (report lines, all passed)."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     plant = build_plant(cfg)
     n = plant.n

@@ -46,7 +46,8 @@ class DivergenceError(FlexJointError):
 
 
 class RootFindingError(FlexJointError):
-    """Polynomial root finding failed to converge."""
+    """Polynomial roots failed their certificate; ``residuals`` holds the
+    backward error of every root."""
 
     def __init__(self, message, residuals=None):
         super().__init__(message)

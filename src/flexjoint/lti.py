@@ -3,8 +3,10 @@
 State-space assembly of every constant-mass chart (the plant under the
 control law, the shaped loop, and its interconnection with a
 mass-spring-damper environment), exact 1-DOF admittances, transfer
-functions from state space via the Faddeev-LeVerrier recursion, frequency
-responses, pole/zero extraction, and a grid-based positive-real check.
+functions from state space via the Faddeev-LeVerrier recursion (algebra
+only: roots are found by ``poles_zeros`` and ``positive_real_check``, the
+two functions that report them), frequency responses, pole/zero
+extraction, and a grid-based positive-real check.
 
 The closed-loop admittance from external torque to link velocity for one
 joint is
@@ -36,11 +38,10 @@ from .errors import (
 )
 from .linalg import freeze, require_joints, require_psd, require_spd
 from .model import LinearRobotParams
-from .poly import aberth_roots, poly_from_roots, trim
+from .poly import aberth_roots, trim
 
 MAX_TF_STATES = 20
 _SOLVE_BLOCK = 64       # points per stacked solve in ``evaluate``; bounds its memory
-_CANCEL_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,8 @@ class StateSpace:
 class RationalTF:
     """Rational transfer function, ascending coefficients.
 
-    ``cancelled`` records approximate common roots removed when the
-    function was reduced from a state-space realization.
+    ``cancelled`` records the common power of s stripped, as roots at the
+    origin, when the function was converted from a state-space realization.
     """
 
     num: np.ndarray
@@ -324,38 +325,16 @@ def _clean_coeffs(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cancel_common_roots(num: np.ndarray, den: np.ndarray):
-    """Approximate-GCD reduction by pairing nearby roots."""
-    if trim(num).size <= 1:
-        return num, den, ()
-    num_roots = list(aberth_roots(num))
-    den_roots = list(aberth_roots(den))
-    lead_num = trim(num)[-1]
-    lead_den = trim(den)[-1]
-    cancelled = []
-    for r in sorted(num_roots, key=lambda v: (v.real, v.imag)):
-        if not den_roots:
-            break
-        dists = [abs(r - d) for d in den_roots]
-        j = int(np.argmin(dists))
-        if dists[j] <= _CANCEL_RTOL * max(1.0, abs(den_roots[j])):
-            cancelled.append(den_roots.pop(j))
-            num_roots.remove(r)
-    if not cancelled:
-        return num, den, ()
-    new_num = poly_from_roots(num_roots, lead_num)
-    new_den = poly_from_roots(den_roots, lead_den)
-    return new_num, new_den, tuple(cancelled)
-
-
 def ss_to_tf(ss: StateSpace, input_index: int = 0, output_index: int = 0) -> RationalTF:
     """Transfer function of one input/output pair of a state-space system.
 
     Uses the Faddeev-LeVerrier recursion for the characteristic polynomial
-    and numerator, then removes approximate common factors (recorded in
-    ``cancelled``).  Refused above ``MAX_TF_STATES`` states, where the
-    polynomial route loses too much precision; evaluate the resolvent
-    directly at frequencies of interest instead.
+    and numerator, then strips their common power of s, left exact by
+    ``_clean_coeffs`` (recorded in ``cancelled``); other common factors of
+    a non-minimal realization stay.  No roots are computed.  Refused above
+    ``MAX_TF_STATES`` states, where the polynomial route loses too much
+    precision; evaluate the resolvent directly at frequencies of interest
+    instead.
     """
     if ss.n_states > MAX_TF_STATES:
         raise AssemblyError(
@@ -371,8 +350,8 @@ def ss_to_tf(ss: StateSpace, input_index: int = 0, output_index: int = 0) -> Rat
         num = P.polyadd(num, d * den)
     num = _clean_coeffs(trim(num))
     den = _clean_coeffs(trim(den))
-    num, den, cancelled = _cancel_common_roots(num, den)
-    return RationalTF(num, den, cancelled)
+    k = min(int(np.argmax(num != 0.0)), int(np.argmax(den != 0.0)))   # 0 for a zero num
+    return RationalTF(num[k:], den[k:], (0j,) * k)
 
 
 def evaluate(sys, svals) -> np.ndarray:
@@ -472,6 +451,8 @@ def positive_real_check(tf: RationalTF, grid=None) -> PassivityVerdict:
     if grid is None:
         grid = np.logspace(-2, 3, 400)
     grid = _check_frequencies(grid)
+    if grid.size == 0:
+        raise ValidationError("frequency grid is empty")
 
     poles = aberth_roots(tf.den)     # the zeros play no part in the verdict
     tight, loose = 1e-9, 1e-6

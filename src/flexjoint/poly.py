@@ -5,8 +5,8 @@ Coefficients are ordered constant-term first (``c[k]`` multiplies
 arithmetic.  This module adds a relative ``trim``, real products of
 conjugate pairs, and a certified root finder: Aberth-Ehrlich iteration
 started from companion-matrix eigenvalues, roots of real polynomials
-snapped into exact conjugate pairs, and a residual acceptance test
-against the coefficient norm.
+snapped into exact conjugate pairs, and a backward-error certificate
+on every root.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from numpy.polynomial import polynomial as P
 
 from .errors import RootFindingError, ValidationError
 
-# Residual acceptance: |p(root)| <= ROOT_RESIDUAL_RTOL * ||coeffs||_inf.
-ROOT_RESIDUAL_RTOL = 1e-8
+# Bound on each root's componentwise backward error |p(r)| / sum_k |c_k| |r|^k:
+# the relative change of the coefficients that would make r an exact root.
+ROOT_BACKWARD_ERROR = 1e-12
 _CONJ_SNAP_RTOL = 1e-8
 
 
@@ -110,9 +111,11 @@ def aberth_roots(coeffs) -> np.ndarray:
     Exact zero constant terms are factored out as roots at the origin.
     The rest starts from the companion-matrix eigenvalues
     (``numpy.polynomial.polynomial.polyroots``) and is refined by
-    Aberth-Ehrlich iteration.  Raises ``RootFindingError`` when any
-    residual ``|p(root)|`` exceeds the acceptance threshold after the
-    iteration budget.
+    Aberth-Ehrlich iteration.  Each root ``r`` is certified by its
+    backward error ``|p(r)| / sum_k |c_k| |r|^k`` (an exact root at the
+    origin of a polynomial with ``c_0 = 0`` counts as 0); a polynomial with
+    any backward error above ``ROOT_BACKWARD_ERROR``, or not a number,
+    raises ``RootFindingError`` carrying the backward errors.
     """
     c_full = trim(coeffs)
     zeros_at_origin = int(np.argmax(c_full != 0.0))     # 0 for the zero polynomial
@@ -126,9 +129,10 @@ def aberth_roots(coeffs) -> np.ndarray:
 
     out = _enforce_conjugates(np.array(roots, dtype=complex))
     residuals = np.abs(P.polyval(out, c_full))
-    tol = ROOT_RESIDUAL_RTOL * float(np.max(np.abs(c_full)))
-    if residuals.size and float(np.max(residuals)) > tol:
+    scale = P.polyval(np.abs(out), np.abs(c_full))
+    backward = np.divide(residuals, scale, out=np.zeros_like(residuals), where=scale != 0.0)
+    if not np.all(backward <= ROOT_BACKWARD_ERROR):
         raise RootFindingError(
-            f"root residual {float(np.max(residuals)):.3e} exceeds {tol:.3e}",
-            residuals=residuals)
+            f"root backward error {float(np.max(backward)):.3e} exceeds "
+            f"{ROOT_BACKWARD_ERROR:.0e}", residuals=backward)
     return out

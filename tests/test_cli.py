@@ -197,6 +197,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "--out" in err and "[output] dir" in err
 
+    @pytest.mark.parametrize("argv", [["bode", "--grid-points", "0"],
+                                      ["bode", "--grid-points", "-3"],
+                                      ["verify", "--seed", "-1"]])
+    def test_bad_integer_options_exit_2(self, argv, fast_cfg_path, tmp_path, capsys):
+        # a bad count or seed is malformed input (exit 2), never a traceback
+        out = ["--out", str(tmp_path)] if argv[0] == "bode" else []
+        assert main([*argv, "--config", str(fast_cfg_path), *out]) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_cli_non_finite_values_are_configuration_errors(self, fast_cfg_path, tmp_path):
         code = main(["simulate", "--config", str(fast_cfg_path),
                      "--out", str(tmp_path), "--horizon", "nan"])

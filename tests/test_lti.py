@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 from conftest import rand_admissible_shaping, rand_plant, rand_spd
 from flexjoint import (
@@ -218,7 +219,7 @@ class TestSsToTf:
         sp = recover_shaped(paper_plant, 0.9, 4.0)
         tf = ss_to_tf(assemble_closed_loop(paper_plant, sp))
         ref = admittance_1dof(sp, 3.0)
-        assert len(tf.cancelled) == 1
+        assert tf.cancelled == (0j,)     # the rigid-body s, stripped exactly
         # same rational function up to common scaling
         scale = ref.den[-1] / tf.den[-1]
         assert np.max(np.abs(ref.num - scale * tf.num)) <= 1e-7 * np.max(np.abs(ref.num))
@@ -234,6 +235,29 @@ class TestSsToTf:
             a = evaluate(tf, 1j * w)
             b = evaluate(ss, 1j * w)
             assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-6
+
+    def test_converts_without_root_finder(self, paper_plant, monkeypatch):
+        def refuse(coeffs):
+            raise AssertionError("ss_to_tf called the root finder")
+        monkeypatch.setattr("flexjoint.lti.aberth_roots", refuse)
+        sp = recover_shaped(paper_plant, 0.9, 4.0)
+        for outer in (None, OUTER):
+            ss_to_tf(assemble_closed_loop(paper_plant, sp, outer))
+        rng = np.random.default_rng(12)
+        plant = rand_plant(rng, 2)
+        _, shaped = synthesize_gains(plant, *rand_admissible_shaping(rng, plant))
+        outer = OuterLoop(np.diag([100.0, 50.0]), np.diag([10.0, 5.0]))
+        ss_to_tf(assemble_closed_loop(plant, shaped, outer))
+
+    def test_non_minimal_realization_keeps_hidden_factor(self):
+        # 1/(s+2) with an unobservable mode at -1: (s+1)/((s+1)(s+2)), not reduced
+        ss = StateSpace(np.diag([-2.0, -1.0]), [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        tf = ss_to_tf(ss)
+        assert tf.cancelled == ()
+        assert np.allclose(tf.num, [1.0, 1.0]) and np.allclose(tf.den, [2.0, 3.0, 1.0])
+        s = 1j * np.logspace(-2, 3, 60)
+        a, b = evaluate(tf, s), evaluate(ss, s)
+        assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-12
 
     def test_refuses_large_systems(self):
         m = 24
@@ -365,17 +389,19 @@ class TestPositiveReal:
         assert v.condition == "negative residue at imaginary-axis pole"
 
     def test_verdict_needs_no_zeros(self):
-        # The root certificate refuses this numerator (of a random n = 3
-        # design): near its root s = -188.6 the terms reach 4e23, so rounding
-        # alone leaves |p| near 1e8, above 1e-8 of the coefficient norm.  The
-        # verdict depends on the poles only, so it must still be given.
-        from flexjoint import RootFindingError
+        # A numerator of a random n = 3 design: near its root s = -188.6 the
+        # terms reach 4e23, so rounding alone leaves |p| near 1e8, far above
+        # 1e-8 of the coefficient norm, yet every root is exact to a backward
+        # error near 1e-16 and is certified.  The verdict depends on the
+        # poles only.
         num = [85356.97739933849, 19121066613085.785, 2498659819465.384,
                2238779314491.1616, 150864908345.04465, 59270371396.649574,
                529376649.3877739, 48319724.03422368, 250105.74320346105]
-        with pytest.raises(RootFindingError) as info:
-            aberth_roots(num)
-        assert info.value.residuals is not None and info.value.residuals.size == 8
+        roots = aberth_roots(num)
+        assert roots.size == 8
+        backward = np.abs(P.polyval(roots, num)) / P.polyval(np.abs(roots), np.abs(num))
+        assert np.max(backward) <= 1e-12
+        assert np.max(np.abs(P.polyval(roots, num))) > 1e-8 * np.max(np.abs(num))
         v = positive_real_check(RationalTF(num, [1.0, 1.0]))
         assert v.verdict == "not-passive"
 
@@ -397,6 +423,11 @@ class TestPositiveReal:
         from flexjoint import ValidationError
         with pytest.raises(ValidationError):
             positive_real_check(RationalTF([1.0], [1.0, 1.0]), grid)
+
+    def test_rejects_empty_grid(self):
+        from flexjoint import ValidationError
+        with pytest.raises(ValidationError, match="frequency grid is empty"):
+            positive_real_check(RationalTF([1.0], [1.0, 1.0]), [])
 
     def test_gain_outside_interval_fails_upstream(self, paper_plant):
         from flexjoint import ShapingInfeasibleError

@@ -105,6 +105,19 @@ def test_residual_contract():
         assert np.max(residuals) <= 1e-8 * np.max(np.abs(c))
 
 
+def test_moved_root_is_refused(monkeypatch):
+    # a root 1e-6 relative off its true place has a backward error far above 1e-12
+    from flexjoint import RootFindingError
+    from flexjoint import poly
+    refine = poly._aberth_iterate
+    monkeypatch.setattr(poly, "_aberth_iterate",
+                        lambda c, z: refine(c, z) * np.r_[1.0 + 1e-6, np.ones(z.size - 1)])
+    c = poly_from_roots([-1.0, -2.0, -3.0, -5.0])
+    with pytest.raises(RootFindingError, match="backward error") as info:
+        aberth_roots(c)
+    assert info.value.residuals.size == 4 and np.max(info.value.residuals) > 1e-8
+
+
 def test_widely_scaled_coefficients():
     # stiffness-scale polynomial: s (0.15 s^2 + 0.3 s + 3e5)
     c = P.polymul([0.0, 1.0], [3e5, 0.3, 0.15])
