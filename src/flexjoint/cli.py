@@ -90,10 +90,6 @@ def write_csv(path: Path, header: list[str], rows) -> None:
                                for cell in row]) + "\n")
 
 
-def _system_id(kf: float, kg: float) -> str:
-    return f"kf{kf:g}_kg{kg:g}"
-
-
 # ---------------------------------------------------------------------------
 # sweep helpers
 # ---------------------------------------------------------------------------
@@ -128,15 +124,19 @@ def _controller(cfg: ExperimentConfig, plant, je_value: float | None = None):
 
 
 def _gain_study(cfg: ExperimentConfig, study: str):
-    """Plant, outer loop, (K_F, K_G) grid and target admittance of a
-    single-joint gain study."""
+    """Target admittance and the shaped loops of a single-joint gain study:
+    one ``((K_F, K_G), system_id, StateSpace)`` per pair of the grid."""
     plant = build_plant(cfg)
     if not isinstance(plant, LinearRobotParams) or plant.n != 1:
         raise ConfigurationError("this study requires a single-joint constant-mass plant")
     target = build_target(cfg)
     if target is None:
         raise ConfigurationError(f"[target] section is required for the {study} study")
-    return plant, build_outer_loop(cfg, 1), _gain_combos(cfg), target_admittance(target)
+    outer = build_outer_loop(cfg, 1)
+    loops = [((kf, kg), f"kf{kf:g}_kg{kg:g}",
+              assemble_closed_loop(plant, recover_shaped(plant, kf, kg), outer))
+             for kf, kg in _gain_combos(cfg)]
+    return target_admittance(target), loops
 
 
 # ---------------------------------------------------------------------------
@@ -186,18 +186,16 @@ def run_bode(cfg: ExperimentConfig, outdir: Path, grid_points: int = 400):
     """
     if grid_points < 1:
         raise ConfigurationError(f"grid_points must be at least 1, got {grid_points}")
-    plant, outer, combos, tf_target = _gain_study(cfg, "bode")
+    tf_target, loops = _gain_study(cfg, "bode")
     grid = np.logspace(-2, 3, grid_points)
     mag_target, phase_target = freq_response(tf_target, grid)
 
     rows = []
     errors = {}
-    for kf, kg in combos:
-        shaped = recover_shaped(plant, kf, kg)
-        mag, phase = freq_response(assemble_closed_loop(plant, shaped, outer), grid)
+    for pair, sid, ss in loops:
+        mag, phase = freq_response(ss, grid)
         err = float(np.max(np.abs(mag - mag_target)))
-        sid = _system_id(kf, kg)
-        errors[(kf, kg)] = err
+        errors[pair] = err
         for w, m, ph in zip(grid, mag, phase):
             rows.append((sid, w, m, ph, err))
     for w, m, ph in zip(grid, mag_target, phase_target):
@@ -226,19 +224,16 @@ def run_pzmap(cfg: ExperimentConfig, outdir: Path):
     distance from the system's dominant pole to the target's dominant
     pole (0 for the target itself).
     """
-    plant, outer, combos, tf_target = _gain_study(cfg, "pole-zero")
+    tf_target, loops = _gain_study(cfg, "pole-zero")
     target_poles, target_zeros = poles_zeros(tf_target)
     dom_target = _dominant_pole(target_poles, skip_origin=False)
 
     rows = []
     dists = {}
-    for kf, kg in combos:
-        shaped = recover_shaped(plant, kf, kg)
-        tf = ss_to_tf(assemble_closed_loop(plant, shaped, outer))
-        poles, zeros = poles_zeros(tf)
+    for pair, sid, ss in loops:
+        poles, zeros = poles_zeros(ss_to_tf(ss))
         dist = abs(_dominant_pole(poles) - dom_target)
-        dists[(kf, kg)] = dist
-        sid = _system_id(kf, kg)
+        dists[pair] = dist
         for p in poles:
             rows.append((sid, "pole", p.real, p.imag, dist))
         for z in zeros:
@@ -464,10 +459,11 @@ input = step(10, 2, 0)
 """
 
 
-def _monotone(values, strict=False) -> bool:
-    eps = 0.0 if strict else 1e-12
-    return all(b < a + eps if strict else b <= a + eps
-               for a, b in zip(values, values[1:]))
+def _claim(check: str, values, fmt: str, strict: bool = False) -> tuple:
+    """``summary.csv`` row of the claim that ``values`` never increase, up to
+    1e-12, or with ``strict`` that they decrease; the detail lists them."""
+    ok = all(b < a if strict else b <= a + 1e-12 for a, b in zip(values, values[1:]))
+    return check, "pass" if ok else "fail", " -> ".join(format(v, fmt) for v in values)
 
 
 def reproduce_paper(outdir: Path) -> list:
@@ -481,17 +477,14 @@ def reproduce_paper(outdir: Path) -> list:
     outdir = Path(outdir)
     cfg1 = parse_config(ONEDOF_STUDY)
     cfg2 = parse_config(TWOLINK_STUDY)
-    summary = []
 
     errors = run_bode(cfg1, outdir / "onedof")
     kf_values = sorted({kf for kf, _ in errors})
     kg_values = sorted({kg for _, kg in errors})
+    summary = []
     for kf in kf_values:
-        seq = [errors[(kf, kg)] for kg in kg_values]
-        ok = _monotone(seq)
-        summary.append((f"bode_err_nonincreasing_in_kg_at_kf={kf:g}",
-                        "pass" if ok else "fail",
-                        " -> ".join(f"{v:.3f}" for v in seq)))
+        summary.append(_claim(f"bode_err_nonincreasing_in_kg_at_kf={kf:g}",
+                              [errors[(kf, kg)] for kg in kg_values], ".3f"))
     for kg in kg_values:
         hi, lo = errors[(kf_values[-1], kg)], errors[(kf_values[0], kg)]
         ok = hi <= lo + 1e-12
@@ -500,36 +493,23 @@ def reproduce_paper(outdir: Path) -> list:
 
     dists = run_pzmap(cfg1, outdir / "onedof")
     for kf in kf_values:
-        seq = [dists[(kf, kg)] for kg in kg_values]
-        summary.append((f"pz_dist_nonincreasing_in_kg_at_kf={kf:g}",
-                        "pass" if _monotone(seq) else "fail",
-                        " -> ".join(f"{v:.4f}" for v in seq)))
+        summary.append(_claim(f"pz_dist_nonincreasing_in_kg_at_kf={kf:g}",
+                              [dists[(kf, kg)] for kg in kg_values], ".4f"))
     for kg in kg_values:
-        seq = [dists[(kf, kg)] for kf in kf_values]
-        summary.append((f"pz_dist_nonincreasing_in_kf_at_kg={kg:g}",
-                        "pass" if _monotone(seq) else "fail",
-                        " -> ".join(f"{v:.4f}" for v in seq)))
-    diagonal = [dists[(kf, kg)] for kf, kg in zip(kf_values, kg_values)]
-    summary.append(("pz_dist_nonincreasing_along_diagonal",
-                    "pass" if _monotone(diagonal) else "fail",
-                    " -> ".join(f"{v:.4f}" for v in diagonal)))
+        summary.append(_claim(f"pz_dist_nonincreasing_in_kf_at_kg={kg:g}",
+                              [dists[(kf, kg)] for kf in kf_values], ".4f"))
+    summary.append(_claim("pz_dist_nonincreasing_along_diagonal",
+                          [dists[pair] for pair in zip(kf_values, kg_values)], ".4f"))
 
-    plant1 = build_plant(cfg1)
-    outer1 = build_outer_loop(cfg1, 1)
-    verdicts = []
-    for (kf, kg) in sorted(errors):
-        shaped = recover_shaped(plant1, kf, kg)
-        tf = ss_to_tf(assemble_closed_loop(plant1, shaped, outer1))
-        verdicts.append(positive_real_check(tf).verdict)
-    ok = all(v == "passive" for v in verdicts)
-    summary.append(("positive_real_all_gain_combos", "pass" if ok else "fail",
-                    ",".join(sorted(set(verdicts)))))
+    _, loops = _gain_study(cfg1, "positive-real")
+    verdicts = {positive_real_check(ss_to_tf(ss)).verdict for _, _, ss in loops}
+    summary.append(("positive_real_all_gain_combos",
+                    "pass" if all(v == "passive" for v in verdicts) else "fail",
+                    ",".join(sorted(verdicts))))
 
     sim_summary = run_simulate(cfg2, outdir / "twolink")
-    l2_values = [row[2] for row in sim_summary]
-    summary.append(("sim_l2_strictly_decreasing_in_sweep",
-                    "pass" if _monotone(l2_values, strict=True) else "fail",
-                    " -> ".join(f"{v:.6g}" for v in l2_values)))
+    summary.append(_claim("sim_l2_strictly_decreasing_in_sweep",
+                          [row[2] for row in sim_summary], ".6g", strict=True))
     worst_rel_audit = max(row[3] / max(row[4], 1e-12) for row in sim_summary)
     summary.append(("sim_passivity_audit", "pass" if worst_rel_audit <= 1e-6 else "fail",
                     f"max residual {worst_rel_audit:.3e} of the energy scale"))

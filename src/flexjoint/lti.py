@@ -314,14 +314,17 @@ def _faddeev_leverrier(A: np.ndarray, B: np.ndarray, C: np.ndarray):
 
 
 def _clean_coeffs(c: np.ndarray) -> np.ndarray:
-    """Zero out coefficients at or below 1e-9 of the largest.
+    """Zero the low-order run of coefficients at or below 1e-9 of the largest.
 
     The recursion leaves rounding residue where coefficients are exactly
-    zero (e.g. rigid-body modes); without cleaning, a double root at the
-    origin splits into a spurious pair of magnitude sqrt(noise).
+    zero at the origin (rigid-body modes); without cleaning, a double root
+    there splits into a spurious pair of magnitude sqrt(noise).  Only the
+    run from the constant term up to the first larger coefficient is
+    zeroed: small interior coefficients are genuine for n >= 2.
     """
     out = c.copy()
-    out[np.abs(out) <= 1e-9 * float(np.max(np.abs(out)))] = 0.0
+    small = np.abs(out) <= 1e-9 * float(np.max(np.abs(out)))
+    out[:int(np.argmin(small))] = 0.0
     return out
 
 
@@ -331,10 +334,13 @@ def ss_to_tf(ss: StateSpace, input_index: int = 0, output_index: int = 0) -> Rat
     Uses the Faddeev-LeVerrier recursion for the characteristic polynomial
     and numerator, then strips their common power of s, left exact by
     ``_clean_coeffs`` (recorded in ``cancelled``); other common factors of
-    a non-minimal realization stay.  No roots are computed.  Refused above
-    ``MAX_TF_STATES`` states, where the polynomial route loses too much
-    precision; evaluate the resolvent directly at frequencies of interest
-    instead.
+    a non-minimal realization stay.  No roots are computed.  On shaped
+    loops of one and two joints the result matches the resolvent; from
+    three joints on, ``trim`` can drop a genuine leading coefficient (the
+    denominator's 1 or the numerator's C B, below 1e-13 of the largest),
+    so evaluate the state-space response there.  Refused above ``MAX_TF_STATES`` states,
+    where the polynomial route loses too much precision; evaluate the
+    resolvent directly at frequencies of interest instead.
     """
     if ss.n_states > MAX_TF_STATES:
         raise AssemblyError(

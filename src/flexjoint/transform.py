@@ -27,8 +27,8 @@ from .control import (
     ImpedanceGains,
     ShapedParams,
     check_gain_consistency,
+    control_law,
     gains_at,
-    nonlinear_control,
 )
 from .errors import TransformSingularError
 from .linalg import as_vector, matvec, solve
@@ -39,7 +39,6 @@ from .model import (
     RobotModel,
     as_model,
     chart_energy,
-    open_loop_field,
 )
 
 # Absolute floor applied when normalizing residuals near equilibria.
@@ -124,9 +123,11 @@ def equivalence_residual(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains,
     through the Jacobian of the coordinate change (a five-point directional
     stencil, exact for the constant-mass case where the transform is
     linear), and subtracts the shaped field at the transformed state.  The
-    stencil maps its four points ``x + c h x'``, c = -2, -1, 1, 2, in one
-    batched call; it differentiates ``mass_of`` itself, so a ``dmass_of``
-    that disagrees with ``mass_of`` shows up in the residual.
+    stencil maps its five points ``x + c h x'``, c = -2, ..., 2, in one
+    batched call, and its middle point is the transformed state; it
+    differentiates ``mass_of`` itself, so a ``dmass_of`` that disagrees
+    with ``mass_of`` shows up in the residual.  The plant's field terms at
+    ``x`` give both the control torque and the plant field.
 
     Returns
     -------
@@ -147,13 +148,17 @@ def equivalence_residual(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains,
 
     # on a constant-mass plant C = 0, so this is linear_control with g
     gains = g if model.constant_mass else gains_at(model, sp, x.q)
-    tau = nonlinear_control(x, tau_e, tau_u, gains, model)
+    t = model.chart_terms(x.q, x.theta, x.p, x.s, np.linalg.inv(model.J), model.K, model.D)
+    tau = control_law(gains.K_F, gains.K_G, gains.K_H, tau_e - t.coriolis - t.grad_v,
+                      t.tau_a, tau_u)
     xv = x.pack()
-    dx = open_loop_field(x, tau_e, tau, model).pack()
+    dx = np.concatenate([t.qdot, t.adot, *t.rates(tau_e, tau)])
     # directional derivative of the transform along the flow
     h = 1e-3 * max(float(np.linalg.norm(xv)), 1.0) / max(float(np.linalg.norm(dx)), 1e-9)
-    y = _chart_map(xv + np.array([[-2.0], [-1.0], [1.0], [2.0]]) * h * dx, sp, model)
-    dy_pushed = (y[0] - 8.0 * y[1] + 8.0 * y[2] - y[3]) / (12.0 * h)
-    dy_shaped = closed_loop_field(to_closed(x, sp, model), tau_e, tau_u, sp, model).pack()
+    y = _chart_map(xv + np.arange(-2.0, 3.0)[:, None] * h * dx, sp, model)
+    dy_pushed = (y[0] - 8.0 * y[1] + 8.0 * y[3] - y[4]) / (12.0 * h)
+    q, phi, p, z = (y[2, k * n:(k + 1) * n] for k in range(4))
+    ts = model.chart_terms(q, phi, p, z, np.linalg.inv(sp.J_e), sp.K_e, sp.D_e)
+    dy_shaped = np.concatenate([ts.qdot, ts.adot, *ts.rates(tau_e, tau_u)])
     scale = max(float(np.max(np.abs(dy_shaped))), RESIDUAL_FLOOR)
     return float(np.max(np.abs(dy_pushed - dy_shaped))) / scale

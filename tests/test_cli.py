@@ -11,6 +11,7 @@ from flexjoint.cli import (
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     ONEDOF_STUDY,
+    _claim,
     main,
     reproduce_paper,
     run_bode,
@@ -252,6 +253,15 @@ class TestReproducePaper:
         monkeypatch.setattr("flexjoint.cli.run_simulate", self._sweep([0.3, 0.3, 0.1]))
         assert main(["reproduce-paper", "--out", str(tmp_path)]) == EXIT_VERIFY_FAILED
         assert "FAIL sim_l2_strictly_decreasing_in_sweep" in capsys.readouterr().out
+
+
+def test_claim_row():
+    # non-strict claims allow 1e-12 of increase, strict ones none
+    assert _claim("c", [1.0, 1.0 + 5e-13], ".3f") == ("c", "pass", "1.000 -> 1.000")
+    assert _claim("c", [1.0, 1.0 + 5e-13], ".3f", strict=True)[1] == "fail"
+    assert _claim("c", [1.0, 1.0 + 2e-12], ".3f")[1] == "fail"
+    assert _claim("c", [3e-4, 2.5e-4, 1e-4], ".6g", strict=True) \
+        == ("c", "pass", "0.0003 -> 0.00025 -> 0.0001")
 
 
 def test_write_csv_number_format(tmp_path):

@@ -249,6 +249,20 @@ class TestSsToTf:
         outer = OuterLoop(np.diag([100.0, 50.0]), np.diag([10.0, 5.0]))
         ss_to_tf(assemble_closed_loop(plant, shaped, outer))
 
+    def test_two_joint_loops_match_resolvent(self):
+        # small interior coefficients of n = 2 polynomials are genuine, so
+        # only the low-order residue of the recursion may be zeroed
+        rng = np.random.default_rng(2)
+        outer = OuterLoop(np.diag([100.0, 50.0]), np.diag([10.0, 5.0]))
+        s = 1j * np.logspace(-2, 3, 400)
+        for _ in range(30):
+            plant = rand_plant(rng, 2)
+            _, shaped = synthesize_gains(plant, *rand_admissible_shaping(rng, plant))
+            ss = assemble_closed_loop(plant, shaped, outer)
+            siso = StateSpace(ss.A, ss.B[:, :1], ss.C[:1], ss.Dmat[:1, :1])
+            a, b = evaluate(ss_to_tf(ss), s), evaluate(siso, s)
+            assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-6
+
     def test_non_minimal_realization_keeps_hidden_factor(self):
         # 1/(s+2) with an unobservable mode at -1: (s+1)/((s+1)(s+2)), not reduced
         ss = StateSpace(np.diag([-2.0, -1.0]), [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]])

@@ -14,11 +14,15 @@ from flexjoint import (
     closed_loop_field,
     equivalence_residual,
     from_closed,
+    gains_at,
+    nonlinear_control,
     open_loop_energy,
+    open_loop_field,
     synthesize_gains,
     to_closed,
 )
 from flexjoint.model import as_model
+from flexjoint.transform import RESIDUAL_FLOOR, _chart_map
 
 
 class TestCoordinateChange:
@@ -148,7 +152,40 @@ class TestClosedLoopField:
             assert lhs == pytest.approx(supply, abs=1e-9 * max(abs(supply), 1.0))
 
 
+def composed_residual(x, tau_e, tau_u, g, sp, m):
+    """The certificate composed from the public per-state functions, each
+    chart evaluated through its own validated call."""
+    model = as_model(m)
+    gains = g if model.constant_mass else gains_at(model, sp, x.q)
+    tau = nonlinear_control(x, tau_e, tau_u, gains, model)
+    xv = x.pack()
+    dx = open_loop_field(x, tau_e, tau, model).pack()
+    h = 1e-3 * max(float(np.linalg.norm(xv)), 1.0) / max(float(np.linalg.norm(dx)), 1e-9)
+    y = _chart_map(xv + np.array([[-2.0], [-1.0], [1.0], [2.0]]) * h * dx, sp, model)
+    dy_pushed = (y[0] - 8.0 * y[1] + 8.0 * y[2] - y[3]) / (12.0 * h)
+    dy_shaped = closed_loop_field(to_closed(x, sp, model), tau_e, tau_u, sp, model).pack()
+    scale = max(float(np.max(np.abs(dy_shaped))), RESIDUAL_FLOOR)
+    return float(np.max(np.abs(dy_pushed - dy_shaped))) / scale
+
+
 class TestEquivalence:
+    def test_matches_composed_public_functions(self, demo_arm):
+        rng = np.random.default_rng(29)
+        cases = []
+        for n in (1, 2, 3):
+            for _ in range(10):
+                plant = rand_plant(rng, n)
+                cases.append((plant, *synthesize_gains(plant, *rand_admissible_shaping(rng, plant))))
+        for _ in range(10):
+            J_e = np.diag(rng.uniform(0.3, 2.0, 2))
+            cases.append((demo_arm, *synthesize_gains(demo_arm, J_e, 2.0 * demo_arm.K)))
+        for plant, g, sp in cases:
+            n = plant.n
+            x = OpenLoopState.unpack(rng.normal(0, 0.7, 4 * n), n)
+            tau_e, tau_u = rng.normal(0, 2, n), rng.normal(0, 2, n)
+            assert abs(equivalence_residual(x, tau_e, tau_u, g, sp, plant)
+                       - composed_residual(x, tau_e, tau_u, g, sp, plant)) <= 1e-14
+
     def test_linear_random(self):
         rng = np.random.default_rng(26)
         worst = 0.0
