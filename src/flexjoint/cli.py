@@ -80,14 +80,33 @@ EXIT_VERIFY_FAILED = 3
 # CSV plumbing
 # ---------------------------------------------------------------------------
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """Numbers as ``%.17g`` (round-trip exact); adding 0.0 turns -0.0 into 0.0."""
+_CSV_BLOCK_ROWS = 4096
+
+
+def write_csv(path: Path, header: list[str], values, labels=None) -> None:
+    """Write ``header`` and one row per row of the 2-D float block ``values``
+    (an array or a sequence of number rows), each led by the string cells
+    ``labels[i]`` when given.
+
+    Numbers are ``%.17g`` (round-trip exact) after adding 0.0, which turns
+    -0.0 into 0.0; one ``%`` call formats each block of 4,096 rows.
+    """
+    with np.errstate(invalid="ignore"):     # a signalling NaN still reads nan
+        values = np.asarray(values, dtype=float) + 0.0
+    fmt = ["%.17g"] * values.shape[1]
+    if labels is not None:
+        width = len(labels[0])
+        cells = np.empty((values.shape[0], width + values.shape[1]), dtype=object)
+        cells[:, :width] = labels
+        cells[:, width:] = values
+        values, fmt = cells, ["%s"] * width + fmt
+    row_fmt = ",".join(fmt) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join([cell if isinstance(cell, str) else format(cell + 0.0, ".17g")
-                               for cell in row]) + "\n")
+        for start in range(0, values.shape[0], _CSV_BLOCK_ROWS):
+            block = values[start:start + _CSV_BLOCK_ROWS]
+            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +209,18 @@ def run_bode(cfg: ExperimentConfig, outdir: Path, grid_points: int = 400):
     grid = np.logspace(-2, 3, grid_points)
     mag_target, phase_target = freq_response(tf_target, grid)
 
-    rows = []
     errors = {}
+    curves = []
     for pair, sid, ss in loops:
         mag, phase = freq_response(ss, grid)
-        err = float(np.max(np.abs(mag - mag_target)))
-        errors[pair] = err
-        for w, m, ph in zip(grid, mag, phase):
-            rows.append((sid, w, m, ph, err))
-    for w, m, ph in zip(grid, mag_target, phase_target):
-        rows.append(("target", w, m, ph, 0.0))
+        errors[pair] = float(np.max(np.abs(mag - mag_target)))
+        curves.append((sid, mag, phase, errors[pair]))
+    curves.append(("target", mag_target, phase_target, 0.0))
     write_csv(outdir / "bode.csv",
-              ["system_id", "omega_rad_s", "mag_db", "phase_deg", "err_db"], rows)
+              ["system_id", "omega_rad_s", "mag_db", "phase_deg", "err_db"],
+              np.vstack([np.column_stack([grid, mag, phase, np.full(grid.size, err)])
+                         for _, mag, phase, err in curves]),
+              [(sid,) for sid, *_ in curves for _ in grid])
     return errors
 
 
@@ -242,7 +261,8 @@ def run_pzmap(cfg: ExperimentConfig, outdir: Path):
         rows.append(("target", "pole", p.real, p.imag, 0.0))
     for z in target_zeros:
         rows.append(("target", "zero", z.real, z.imag, 0.0))
-    write_csv(outdir / "pzmap.csv", ["system_id", "kind", "re", "im", "dom_dist"], rows)
+    write_csv(outdir / "pzmap.csv", ["system_id", "kind", "re", "im", "dom_dist"],
+              [row[2:] for row in rows], [row[:2] for row in rows])
     return dists
 
 
@@ -266,7 +286,7 @@ def _result_rows(result):
     columns = [result.t, result.q, phi, result.p, z, result.tau, result.tau_e, result.tau_u,
                result.H, result.supply, result.passivity_residual]
     zeros = np.zeros_like(result.q)
-    return header, np.column_stack([c if c is not None else zeros for c in columns]).tolist()
+    return header, np.column_stack([c if c is not None else zeros for c in columns])
 
 
 def run_simulate(cfg: ExperimentConfig, outdir: Path, dt: float | None = None,
@@ -304,15 +324,14 @@ def run_simulate(cfg: ExperimentConfig, outdir: Path, dt: float | None = None,
         ref_dt = results[0][2].dt
         target_result = simulate_target_dynamics(plant, K_theta, D_theta, q_d, signal,
                                                  float(sim_T), ref_dt)
-        rows = np.column_stack([target_result.t, target_result.q, target_result.qdot]).tolist()
         header = ["t"] + [f"q_{i + 1}" for i in range(n)] + [f"qdot_{i + 1}" for i in range(n)]
-        write_csv(outdir / "sim_target.csv", header, rows)
+        write_csv(outdir / "sim_target.csv", header,
+                  np.column_stack([target_result.t, target_result.q, target_result.qdot]))
 
     joint = signal.joint if signal.kind != "zero" else 0
     summary = []
     for label, je_value, result in results:
-        header, rows = _result_rows(result)
-        write_csv(outdir / f"{label}.csv", header, rows)
+        write_csv(outdir / f"{label}.csv", *_result_rows(result))
         l2 = float("nan")
         if target_result is not None:
             l2 = l2_distance(result.t, result.q[:, joint], target_result.q[:, joint])
@@ -325,7 +344,7 @@ def run_simulate(cfg: ExperimentConfig, outdir: Path, dt: float | None = None,
     write_csv(outdir / "sim_summary.csv",
               ["run_id", "J_e_value", "l2_vs_target", "max_passivity_residual", "max_H",
                "max_abs_tau"],
-              summary)
+              [row[1:] for row in summary], [row[:1] for row in summary])
     return summary
 
 
@@ -514,7 +533,8 @@ def reproduce_paper(outdir: Path) -> list:
     summary.append(("sim_passivity_audit", "pass" if worst_rel_audit <= 1e-6 else "fail",
                     f"max residual {worst_rel_audit:.3e} of the energy scale"))
 
-    write_csv(outdir / "summary.csv", ["check", "status", "detail"], summary)
+    write_csv(outdir / "summary.csv", ["check", "status", "detail"],
+              np.empty((len(summary), 0)), summary)
     return summary
 
 

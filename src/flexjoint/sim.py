@@ -455,7 +455,8 @@ def _propagate(field, series, power, x0, signal: InputSignal, h: float, T: float
     on z = (x, u(t), u(t + h/2), u(t + h), 1): stage i evaluates the field
     at w_i = W_i z, so x+ = P x + R e with e = z[m:] (the same numbers as
     four field evaluations, up to rounding), and the supply increment is
-    the RK4-weighted ``power`` of the stage series.
+    the RK4-weighted ``power`` of the stage series.  ``_scan`` runs the
+    recurrence x+ = P x + R e in blocks of steps.
     """
     m = x0.shape[0]
     n = m // 4
@@ -488,12 +489,7 @@ def _propagate(field, series, power, x0, signal: InputSignal, h: float, T: float
     t = h * np.arange(nsteps + 1)
     exo = np.hstack([signal.torque_series(t[:-1] + d, n) for d in (0.0, 0.5 * h, h)]
                     + [np.ones((nsteps, 1))])
-    P, R = step[:, :m], step[:, m:]
-    states = np.empty((nsteps + 1, m))
-    states[0], states[1:] = x0, exo @ R.T           # row k + 1 starts as V[k]
-    views = list(states)
-    for x, x_next in zip(views, views[1:]):     # x+ = P x + V[k], in place
-        x_next += np.dot(P, x)
+    states = _scan(step[:, :m], x0, exo @ step[:, m:].T)
     # the series and the input at the four stages of every step, side by side
     stage_cols = np.hstack([np.hstack([Wz.T @ L, Wz[m:m + n].T]) for Wz in stages])
     at_stages = (np.hstack([states[:-1], exo]) @ stage_cols).reshape(nsteps, 4, -1, n)
@@ -506,6 +502,39 @@ def _propagate(field, series, power, x0, signal: InputSignal, h: float, T: float
         raise _divergence(float(t[1 + np.argmax(diverged)]))
     W = np.hstack([states, signal.torque_series(t, n), np.ones((t.shape[0], 1))])
     return t, supply, _Series(*np.moveaxis((W @ L).reshape(nsteps + 1, -1, n), 1, 0))
+
+
+def _scan(P, x0, V):
+    """States of x_{k+1} = P x_k + V[k] from x_0 = ``x0``, in rows.
+
+    The two-level scan (Blelloch, CMU-CS-90-190, 1990) on blocks of
+    B = ceil(sqrt(N)) steps: each block's recurrence from a zero state,
+    stepped across all blocks at once; then the block starts, carried by
+    P^B, and every state as P^(j+1) start + local.  The same numbers as N
+    steps of the recurrence, up to rounding.
+    """
+    nsteps, m = V.shape
+    B = math.isqrt(nsteps - 1) + 1
+    nblocks = -(-nsteps // B)
+    local = np.zeros((nblocks, B, m))
+    local.reshape(-1, m)[:nsteps] = V
+    for j in range(1, B):
+        local[:, j] += local[:, j - 1] @ P.T
+    powers = np.empty((B, m, m))                    # P^1 ... P^B, by doubling
+    powers[0], k = P, 1
+    while k < B:
+        powers[k:2 * k] = powers[:min(k, B - k)] @ powers[k - 1]
+        k *= 2
+    # every block start applies the carry, so its rounding error adds up over
+    # the blocks; formed in float64 it reached 3.3e-11 of the state in 100k
+    # steps of a rigid-body mode (a shaped plant without an outer loop)
+    carry = np.linalg.matrix_power(P.astype(np.longdouble), B).astype(float)
+    starts = np.empty((nblocks, m))
+    starts[0] = x0
+    for b in range(1, nblocks):
+        starts[b] = carry @ starts[b - 1] + local[b - 1, -1]
+    states = np.einsum("jkl,bl->bjk", powers, starts) + local
+    return np.vstack([x0, states.reshape(-1, m)[:nsteps]])
 
 
 # ---------------------------------------------------------------------------

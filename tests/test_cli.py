@@ -1,9 +1,12 @@
 import csv
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexjoint.cli import (
     EXIT_DIVERGED,
@@ -178,6 +181,22 @@ class TestSimulate:
         assert np.max(np.abs(data["q_1"])) > 0
         assert summary[0][3] <= 1e-6 * max(summary[0][4], 1e-12)
 
+    def test_bundled_study_csv_is_deterministic(self, tmp_path):
+        # two runs of the bundled 1-DOF study write the same bytes, in the
+        # column set README documents for sim*.csv
+        cfg = parse_config(ONEDOF_STUDY)
+        for out in ("a", "b"):
+            run_simulate(cfg, tmp_path / out, horizon=0.01)
+        data = (tmp_path / "a" / "sim.csv").read_bytes()
+        assert data == (tmp_path / "b" / "sim.csv").read_bytes()
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        schema, = [line for line in readme.splitlines() if line.startswith("| `sim*.csv` |")]
+        columns = [c.strip(" `").replace("_*", "_1") for c in schema.split("|")[2].split(",")]
+        lines = data.decode().splitlines()
+        assert lines[0].split(",") == columns
+        assert len(lines) == 1 + 501
+        assert {len(line.split(",")) for line in lines[1:]} == {len(columns)}
+
     def test_cli_dt_override_rejects_unstable(self, fast_cfg_path, tmp_path):
         code = main(["simulate", "--config", str(fast_cfg_path),
                      "--out", str(tmp_path), "--dt", "1e-2"])
@@ -266,8 +285,32 @@ def test_claim_row():
 
 def test_write_csv_number_format(tmp_path):
     path = tmp_path / "row.csv"
-    write_csv(path, ["a", "b"], [[-0.0, 0.0, float("nan"), float("-inf"), 1e-310, 7, "x"]])
-    assert path.read_text() == "a,b\n0,0,nan,-inf,9.9999999999999694e-311,7,x\n"
+    write_csv(path, ["a", "b"], [[-0.0, 0.0, float("nan"), float("-inf"), 1e-310, 7]], [("x",)])
+    assert path.read_text() == "a,b\nx,0,0,nan,-inf,9.9999999999999694e-311,7\n"
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cols=st.integers(0, 6), width=st.integers(0, 2),
+       as_list=st.booleans())
+def test_write_csv_matches_per_cell_format(tmp_path_factory, seed, cols, width, as_list):
+    # 4,097 rows cross a 4,096-row block; the reference formats one cell at a time
+    rng = np.random.default_rng(seed)
+    rows = 4097
+    values = rng.integers(0, 2**64, (rows, cols), dtype=np.uint64, endpoint=False).view(float)
+    special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -1e-310,
+                        2.2250738585072009e-308, 1.7976931348623157e308])
+    mask = rng.random(values.shape) < 0.2
+    values[mask] = rng.choice(special, mask.sum())
+    labels = [tuple(rng.choice(["sys", "kf0.9_kg4", "pole", "", "target"], width))
+              for _ in range(rows)] if width or cols == 0 else None
+    header = [f"c{i}" for i in range(width + cols)]
+    path = tmp_path_factory.mktemp("csv") / "block.csv"
+    write_csv(path, header, values.tolist() if as_list else values, labels)
+    want = [",".join(header)]
+    for i, row in enumerate(values):
+        want.append(",".join([*(labels[i] if labels else ()),
+                              *(format(float(x) + 0.0, ".17g") for x in row)]))
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,14 @@ from flexjoint import (
     from_closed,
     synthesize_gains,
     to_closed,
+)
+from flexjoint.cli import ONEDOF_STUDY
+from flexjoint.config import (
+    build_controller_spec,
+    build_input,
+    build_outer_loop,
+    build_plant,
+    parse_config,
 )
 
 
@@ -318,6 +327,78 @@ class TestLinearPropagator:
                 simulate(sc)
             assert exc.value.time == dt
             assert "t=2e-05 s" in str(exc.value)
+
+
+class TestBlockedScan:
+    """``sim._scan``, the blocked form of x_{k+1} = P x_k + V[k], against the
+    per-step recurrence."""
+
+    @staticmethod
+    def _per_step(P, x0, V, dtype=float):
+        P, V = P.astype(dtype), V.astype(dtype)
+        X = np.empty((V.shape[0] + 1, V.shape[1]), dtype)
+        X[0] = x0
+        for k in range(V.shape[0]):
+            X[k + 1] = V[k] + P @ X[k]
+        return X
+
+    @staticmethod
+    def _rel_err(X, ref):
+        # per state column, against the column's largest entry
+        return np.max(np.abs(X - ref), axis=0) / np.max(np.abs(ref), axis=0)
+
+    # blocks are B = ceil(sqrt(N)) steps: N = B^2 - 1, B^2 and B^2 + 1 end in
+    # a short block, on a block boundary, and one step into a block
+    @pytest.mark.parametrize("nsteps", [1, 2, 3, 4, 5, 48, 49, 50, 1500])
+    def test_matches_per_step_recurrence(self, nsteps):
+        rng = np.random.default_rng(nsteps)
+        m = 4
+        P = 0.999 * np.linalg.qr(rng.normal(size=(m, m)))[0]
+        x0, V = rng.normal(size=m), rng.normal(size=(nsteps, m))
+        X = flexjoint.sim._scan(P, x0, V)
+        assert X.shape == (nsteps + 1, m)
+        assert np.array_equal(X[0], x0)
+        assert np.all(self._rel_err(X, self._per_step(P, x0, V)) <= 1e-12)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                        reason="np.longdouble is float64 on this platform")
+    @pytest.mark.parametrize("simulate", [simulate_plant_with_controller, simulate_closed_form])
+    @pytest.mark.parametrize("outer", [True, False])
+    def test_bundled_study_against_extended_precision(self, simulate, outer, monkeypatch):
+        # the bundled 1-DOF study's 2 s horizon: 100k steps; without the outer
+        # loop the step drives a rigid-body mode
+        cfg = parse_config(ONEDOF_STUDY)
+        plant = build_plant(cfg)
+        spec = build_controller_spec(cfg)
+        sc = Scenario(plant=plant, controller=recover_shaped(plant, spec.K_F, spec.K_G),
+                      outer=build_outer_loop(cfg, 1) if outer else None, input=build_input(cfg),
+                      T=cfg.sim["T"], dt=cfg.sim["dt"])
+        calls = []
+        scan = flexjoint.sim._scan
+        monkeypatch.setattr(flexjoint.sim, "_scan", lambda *args: calls.append(args) or scan(*args))
+        simulate(sc)
+        (P, x0, V), = calls
+        assert V.shape[0] == 100_000
+        ref = self._per_step(P, x0, V, np.longdouble)
+        assert np.all(self._rel_err(scan(P, x0, V), ref) <= 1e-11)
+
+    # the per-step recurrence flagged the step after the onset in every case
+    @pytest.mark.parametrize("amplitude", [1e308, 1e300])
+    @pytest.mark.parametrize("onset", [1, "B-1", "B", "B+1", 500])
+    def test_divergence_time_at_block_edges(self, paper_plant, amplitude, onset):
+        dt, nsteps = 2e-5, 1500
+        B = math.isqrt(nsteps - 1) + 1
+        onset = {"B-1": B - 1, "B": B, "B+1": B + 1}.get(onset, onset)
+        sp = recover_shaped(paper_plant, 0.9, 4.0)
+        signal = InputSignal.step(amplitude, start=onset * dt)
+        cases = [(simulate_plant_with_controller, None), (simulate_plant_with_controller, sp),
+                 (simulate_closed_form, sp)]
+        for simulate, controller in cases:
+            sc = Scenario(plant=paper_plant, controller=controller, input=signal,
+                          T=nsteps * dt, dt=dt)
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+                simulate(sc)
+            assert exc.value.time == (dt * np.arange(nsteps + 1))[onset + 1]
 
 
 class TestCoupled:
