@@ -39,6 +39,7 @@ from .config import (
     build_plant,
     build_target,
     parse_config,
+    read_number,
 )
 from .control import (
     colgate_interval,
@@ -123,9 +124,9 @@ def _gain_combos(cfg: ExperimentConfig):
             raise ConfigurationError(
                 "a full K_F/K_G sweep needs either [sweep] lists or gain values "
                 "in [controller]")
-        kf_list = kf_list or [float(spec.K_F)]
-        kg_list = kg_list or [float(spec.K_G)]
-    return [(float(kf), float(kg)) for kf in kf_list for kg in kg_list]
+        kf_list = kf_list or [read_number(spec.K_F, "[controller] K_F")]
+        kg_list = kg_list or [read_number(spec.K_G, "[controller] K_G")]
+    return [(kf, kg) for kf in kf_list for kg in kg_list]
 
 
 def _controller(cfg: ExperimentConfig, plant, je_value: float | None = None):
@@ -310,7 +311,7 @@ def run_simulate(cfg: ExperimentConfig, outdir: Path, dt: float | None = None,
 
     je_sweep = cfg.sweep.get("J_e")
     runs = [(None, "sim")] if je_sweep is None else [
-        (float(v), f"sim_je{i + 1}") for i, v in enumerate(je_sweep)]
+        (v, f"sim_je{i + 1}") for i, v in enumerate(je_sweep)]
     simulate = simulate_coupled if environment is not None else simulate_plant_with_controller
     results = []
     for je_value, label in runs:
@@ -394,7 +395,7 @@ def run_verify(cfg: ExperimentConfig, seed: int = 0):
     checks.append(("equivalence_residual", worst, 1e-8))
 
     sc = Scenario(plant=plant, controller=shaped, outer=outer, input=signal,
-                  T=min(float(cfg.sim.get("T", 1.0)), 1.0), dt=cfg.sim.get("dt"))
+                  T=min(cfg.sim.get("T", 1.0), 1.0), dt=cfg.sim.get("dt"))
     result = simulate_plant_with_controller(sc)
     violation = passivity_audit(result)
     scale = max(float(np.max(result.H)), 1e-12)

@@ -8,7 +8,7 @@ starts a comment.  Values can be
 * comma-separated lists: ``-0.9, 0, 0.9``,
 * matrices: ``diag(1000, 1000)`` or row lists ``[[1, 2], [3, 4]]``,
 * input specs: ``zero``, ``step(amplitude, joint, start)``,
-  ``sinusoid(amplitude, frequency, joint)`` (1-based joint index).
+  ``sinusoid(amplitude, frequency, joint)`` (1-based integer joint index).
 
 Sections: ``plant`` (required), ``controller`` (exactly one of the gain
 pair ``K_F``/``K_G`` or the shaped pair ``J_e``/``K_e``), ``outer_loop``,
@@ -162,9 +162,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigurationError(f"[sweep] supports K_F, K_G, J_e; got {key!r}")
         if isinstance(values, float):
             values = [values]
-            cfg.sweep[key] = values
         if not isinstance(values, list) or not values:
             raise ConfigurationError(f"[sweep] {key} must be a non-empty list of numbers")
+        cfg.sweep[key] = [read_number(v, f"[sweep] {key}") for v in values]
+    for key in ("T", "dt"):
+        if key in cfg.sim:
+            cfg.sim[key] = read_number(cfg.sim[key], f"[sim] {key}")
 
 
 def _format_value(value) -> str:
@@ -203,6 +206,16 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 # builders
 # ---------------------------------------------------------------------------
 
+def read_number(value, key: str, integer: bool = False):
+    """``value`` as a finite float, or an int when ``integer``; anything else
+    raises a ConfigurationError that names ``key``."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and np.isfinite(value)):
+        raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
+    if integer and value != int(value):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigurationError(f"[{where}] is missing {key!r}")
@@ -224,7 +237,7 @@ def build_plant(cfg: ExperimentConfig):
         )
     if kind != "linear":
         raise ConfigurationError(f"[plant] unknown type {kind!r}")
-    n = int(_require(sec, "n", "plant"))
+    n = read_number(_require(sec, "n", "plant"), "[plant] n", integer=True)
     return LinearRobotParams(
         n=n,
         M=np.array(_require(sec, "M", "plant")),
@@ -283,22 +296,22 @@ def build_environment(cfg: ExperimentConfig, n: int) -> EnvironmentImpedance | N
 def build_input(cfg: ExperimentConfig) -> InputSignal:
     """Input signal from [sim] input=...; joint indices are 1-based here."""
     spec = cfg.sim.get("input", ("zero",))
-    if isinstance(spec, str):
+    if not isinstance(spec, tuple):
         spec = (spec,)
-    kind = spec[0]
+    kind, args = spec[0], spec[1:]
     if kind == "zero":
         return InputSignal.zero()
+    # step(amplitude, joint, start) and sinusoid(amplitude, frequency, joint)
+    defaults = {"step": (0.0, 1.0, 0.0), "sinusoid": (0.0, 1.0, 1.0)}.get(kind)
+    if defaults is None:
+        raise ConfigurationError(f"[sim] unknown input kind {kind!r}")
+    if len(args) > len(defaults):
+        raise ConfigurationError(f"[sim] input {kind}() takes at most {len(defaults)} "
+                                 f"arguments, got {len(args)}")
+    a, b, c = args + defaults[len(args):]
     if kind == "step":
-        amp = spec[1] if len(spec) > 1 else 0.0
-        joint = int(spec[2]) - 1 if len(spec) > 2 else 0
-        start = spec[3] if len(spec) > 3 else 0.0
-        return InputSignal.step(amp, joint, start)
-    if kind == "sinusoid":
-        amp = spec[1] if len(spec) > 1 else 0.0
-        freq = spec[2] if len(spec) > 2 else 1.0
-        joint = int(spec[3]) - 1 if len(spec) > 3 else 0
-        return InputSignal.sinusoid(amp, freq, joint)
-    raise ConfigurationError(f"[sim] unknown input kind {kind!r}")
+        return InputSignal.step(a, read_number(b, "[sim] input joint", integer=True) - 1, c)
+    return InputSignal.sinusoid(a, b, read_number(c, "[sim] input joint", integer=True) - 1)
 
 
 def build_nonlinear_target(cfg: ExperimentConfig, n: int):

@@ -210,9 +210,8 @@ def recover_shaped(m: RobotModel, K_F, K_G, q_ref=None) -> ShapedParams:
     if abs(np.linalg.det(denom)) < 1e-12 * max(float(np.max(np.abs(denom))), 1.0) ** n:
         raise ParametrizationSingularError("K_F + K_G + I is singular")
     J_e = solve(denom, core, "K_F + K_G + I", ParametrizationSingularError)
-    K_e = model.K @ solve(model.J, core, "J")
-    D_e = model.D @ solve(model.J, core, "J")
-    return ShapedParams(J_e, K_e, D_e)
+    core_J = solve(model.J, core, "J")
+    return ShapedParams(J_e, model.K @ core_J, model.D @ core_J)
 
 
 def colgate_interval(m: RobotModel) -> tuple[float, float]:

@@ -15,42 +15,46 @@ from .errors import ValidationError
 SPD_PIVOT_RTOL = 1e-12
 
 
+def as_floats(value, name: str) -> np.ndarray:
+    """``value`` as a float array; non-numeric or non-finite entries raise a
+    ValidationError that names ``name``."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} has non-numeric entries") from None
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} has non-finite entries")
+    return arr
+
+
 def as_matrix(value, n: int, name: str = "matrix") -> np.ndarray:
     """Coerce a scalar, diagonal vector, or square array to an (n, n) float array.
 
     Scalars become ``value * I``; 1-D arrays of length n become diagonal
     matrices; 2-D input must already be (n, n).
     """
-    arr = np.asarray(value, dtype=float)
+    arr = as_floats(value, name)
     if arr.ndim == 0:
-        out = float(arr) * np.eye(n)
-    elif arr.ndim == 1:
+        return float(arr) * np.eye(n)
+    if arr.ndim == 1:
         if arr.shape[0] != n:
             raise ValidationError(f"{name}: expected {n} diagonal entries, got {arr.shape[0]}")
-        out = np.diag(arr)
-    elif arr.ndim == 2:
+        return np.diag(arr)
+    if arr.ndim == 2:
         if arr.shape != (n, n):
             raise ValidationError(f"{name}: expected shape ({n}, {n}), got {arr.shape}")
-        out = arr.copy()
-    else:
-        raise ValidationError(f"{name}: too many dimensions ({arr.ndim})")
-    if not np.all(np.isfinite(out)):
-        raise ValidationError(f"{name} has non-finite entries")
-    return out
+        return arr.copy()
+    raise ValidationError(f"{name}: too many dimensions ({arr.ndim})")
 
 
 def as_vector(value, n: int, name: str = "vector") -> np.ndarray:
     """Coerce a scalar or sequence to a length-n float vector."""
-    arr = np.asarray(value, dtype=float)
+    arr = as_floats(value, name)
     if arr.ndim == 0:
-        out = np.full(n, float(arr))
-    elif arr.shape == (n,):
-        out = arr.copy()
-    else:
+        return np.full(n, float(arr))
+    if arr.shape != (n,):
         raise ValidationError(f"{name}: expected {n} entries, got shape {arr.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ValidationError(f"{name} has non-finite entries")
-    return out
+    return arr.copy()
 
 
 def freeze(obj, names, n: int, coerce=as_matrix) -> None:

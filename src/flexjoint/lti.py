@@ -36,7 +36,7 @@ from .errors import (
     NotApplicableError,
     ValidationError,
 )
-from .linalg import freeze, require_joints, require_psd, require_spd
+from .linalg import as_floats, freeze, require_joints, require_psd, require_spd
 from .model import LinearRobotParams
 from .poly import aberth_roots, trim
 
@@ -54,10 +54,8 @@ class StateSpace:
     Dmat: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        Dm = np.atleast_2d(np.asarray(self.Dmat, dtype=float))
+        A, B, C, Dm = (np.atleast_2d(as_floats(getattr(self, name), name))
+                       for name in ("A", "B", "C", "Dmat"))
         if A.shape[0] != A.shape[1]:
             raise ValidationError(f"A must be square, got {A.shape}")
         if B.shape[0] != A.shape[0]:
@@ -67,8 +65,6 @@ class StateSpace:
         if Dm.shape != (C.shape[0], B.shape[1]):
             raise ValidationError(f"Dmat shape {Dm.shape} != ({C.shape[0]}, {B.shape[1]})")
         for name, mat in (("A", A), ("B", B), ("C", C), ("Dmat", Dm)):
-            if not np.all(np.isfinite(mat)):
-                raise ValidationError(f"{name} has non-finite entries")
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)
 

@@ -15,6 +15,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import RootFindingError, ValidationError
+from .linalg import as_floats
 
 # Bound on each root's componentwise backward error |p(r)| / sum_k |c_k| |r|^k:
 # the relative change of the coefficients that would make r an exact root.
@@ -27,11 +28,9 @@ def trim(coeffs) -> np.ndarray:
 
     Non-finite coefficients raise ``ValidationError``.
     """
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    c = np.atleast_1d(as_floats(coeffs, "coefficients"))
     if c.ndim != 1 or c.size == 0:
         raise ValidationError("coefficients must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(c)):
-        raise ValidationError("coefficients must be finite")
     scale = float(np.max(np.abs(c)))
     if scale == 0.0:
         return np.zeros(1)

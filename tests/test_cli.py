@@ -236,6 +236,26 @@ class TestSimulate:
                         encoding="utf-8")
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("line, key", [
+        ("n = nan", "[plant] n"), ("n = abc", "[plant] n"), ("n = 1.5", "[plant] n"),
+        ("M = abc", "M"), ("M = zero", "M"), ("K_phi = abc", "K_phi"),
+        ("T = abc", "[sim] T"), ("dt = abc", "[sim] dt"),
+        ("input = step(1, nan, 0)", "[sim] input"),
+        ("input = sinusoid(1, 10, inf)", "[sim] input"),
+        ("input = step(1, 1.5, 0)", "[sim] input"),
+        ("input = step(1, 1, 0, 7)", "[sim] input"),
+    ])
+    def test_malformed_values_exit_2(self, line, key, tmp_path, capsys):
+        # a value of the wrong type is malformed input (exit 2) named by its
+        # key: never a traceback (exit 1 means divergence), never read quietly
+        name = line.split(" = ")[0]
+        lines = [line if row.startswith(f"{name} = ") else row for row in FAST_SIM.splitlines()]
+        assert line in lines
+        path = tmp_path / "bad.cfg"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err.startswith(f"error: {key} ")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_1(self, tmp_path, capsys):
         # a finite input so large that the state overflows on the first steps

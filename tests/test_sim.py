@@ -330,8 +330,8 @@ class TestLinearPropagator:
 
 
 class TestBlockedScan:
-    """``sim._scan``, the blocked form of x_{k+1} = P x_k + V[k], against the
-    per-step recurrence."""
+    """``sim._scan``, x_{k+1} = P x_k + V[k] by recursive doubling, against
+    the per-step recurrence."""
 
     @staticmethod
     def _per_step(P, x0, V, dtype=float):
@@ -347,18 +347,30 @@ class TestBlockedScan:
         # per state column, against the column's largest entry
         return np.max(np.abs(X - ref), axis=0) / np.max(np.abs(ref), axis=0)
 
-    # blocks are B = ceil(sqrt(N)) steps: N = B^2 - 1, B^2 and B^2 + 1 end in
-    # a short block, on a block boundary, and one step into a block
-    @pytest.mark.parametrize("nsteps", [1, 2, 3, 4, 5, 48, 49, 50, 1500])
+    # N + 1 rows take ceil(log2(N + 1)) rounds of strides 1, 2, 4, ...: N = 7,
+    # 8, 9 and 1023, 1024, 1025 sit at the edges of a stride; 48, 49, 50 at
+    # those of a ceil(sqrt(N))-step block; m = 16 is the shaped loop at n = 4
+    @pytest.mark.parametrize("nsteps", [1, 2, 3, 4, 5, 7, 8, 9, 48, 49, 50, 1023, 1024, 1025,
+                                        1500])
     def test_matches_per_step_recurrence(self, nsteps):
         rng = np.random.default_rng(nsteps)
-        m = 4
-        P = 0.999 * np.linalg.qr(rng.normal(size=(m, m)))[0]
-        x0, V = rng.normal(size=m), rng.normal(size=(nsteps, m))
-        X = flexjoint.sim._scan(P, x0, V)
-        assert X.shape == (nsteps + 1, m)
-        assert np.array_equal(X[0], x0)
-        assert np.all(self._rel_err(X, self._per_step(P, x0, V)) <= 1e-12)
+        for m in (4, 16):
+            P = 0.999 * np.linalg.qr(rng.normal(size=(m, m)))[0]
+            x0, V = rng.normal(size=m), rng.normal(size=(nsteps, m))
+            X = flexjoint.sim._scan(P, x0, V)
+            assert X.shape == (nsteps + 1, m)
+            assert np.array_equal(X[0], x0)
+            assert np.all(self._rel_err(X, self._per_step(P, x0, V)) <= 1e-12)
+
+    @staticmethod
+    def _scan_call(simulate, sc, monkeypatch):
+        """The arguments of the one ``_scan`` call of ``simulate(sc)``."""
+        calls = []
+        scan = flexjoint.sim._scan
+        monkeypatch.setattr(flexjoint.sim, "_scan", lambda *args: calls.append(args) or scan(*args))
+        simulate(sc)
+        (args,) = calls
+        return args
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
                         reason="np.longdouble is float64 on this platform")
@@ -373,18 +385,35 @@ class TestBlockedScan:
         sc = Scenario(plant=plant, controller=recover_shaped(plant, spec.K_F, spec.K_G),
                       outer=build_outer_loop(cfg, 1) if outer else None, input=build_input(cfg),
                       T=cfg.sim["T"], dt=cfg.sim["dt"])
-        calls = []
-        scan = flexjoint.sim._scan
-        monkeypatch.setattr(flexjoint.sim, "_scan", lambda *args: calls.append(args) or scan(*args))
-        simulate(sc)
-        (P, x0, V), = calls
+        P, x0, V = self._scan_call(simulate, sc, monkeypatch)
         assert V.shape[0] == 100_000
         ref = self._per_step(P, x0, V, np.longdouble)
-        assert np.all(self._rel_err(scan(P, x0, V), ref) <= 1e-11)
+        assert np.all(self._rel_err(flexjoint.sim._scan(P, x0, V), ref) <= 1e-13)
 
-    # the per-step recurrence flagged the step after the onset in every case
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                        reason="np.longdouble is float64 on this platform")
+    @pytest.mark.parametrize("outer", [True, False])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_random_shaped_loops_against_extended_precision(self, n, outer, monkeypatch):
+        # real step matrices of 4n = 8 and 16 states, 5,000 steps at half the cap
+        rng = np.random.default_rng(n)
+        plant = rand_plant(rng, n)
+        sp = synthesize_gains(plant, *rand_admissible_shaping(rng, plant))[1]
+        loop = OuterLoop(rand_spd(rng, n, 50.0, 200.0), rand_spd(rng, n, 5.0, 20.0)) \
+            if outer else None
+        sc = Scenario(plant=plant, controller=sp, outer=loop, input=InputSignal.step(1.0))
+        dt = 0.5 * stability_dt_cap(sc)
+        sc = replace(sc, T=5000 * dt, dt=dt)
+        P, x0, V = self._scan_call(simulate_closed_form, sc, monkeypatch)
+        assert V.shape == (5000, 4 * n)
+        ref = self._per_step(P, x0, V, np.longdouble)
+        assert np.all(self._rel_err(flexjoint.sim._scan(P, x0, V), ref) <= 1e-12)
+
+    # the per-step recurrence flagged the step after the onset in every case;
+    # B = ceil(sqrt(N)) is a block edge of a blocked scan, 511 to 1024 the
+    # edges of the doubling strides 512 and 1024
     @pytest.mark.parametrize("amplitude", [1e308, 1e300])
-    @pytest.mark.parametrize("onset", [1, "B-1", "B", "B+1", 500])
+    @pytest.mark.parametrize("onset", [1, "B-1", "B", "B+1", 500, 511, 512, 513, 1023, 1024])
     def test_divergence_time_at_block_edges(self, paper_plant, amplitude, onset):
         dt, nsteps = 2e-5, 1500
         B = math.isqrt(nsteps - 1) + 1
