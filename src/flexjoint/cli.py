@@ -39,7 +39,6 @@ from .config import (
     build_plant,
     build_target,
     parse_config,
-    read_number,
 )
 from .control import (
     colgate_interval,
@@ -120,12 +119,12 @@ def _gain_combos(cfg: ExperimentConfig):
     kf_list = cfg.sweep.get("K_F")
     kg_list = cfg.sweep.get("K_G")
     if kf_list is None or kg_list is None:
-        if not isinstance(spec, GainPair):
+        if not isinstance(spec, GainPair) or np.ndim(spec.K_F) or np.ndim(spec.K_G):
             raise ConfigurationError(
-                "a full K_F/K_G sweep needs either [sweep] lists or gain values "
+                "a full K_F/K_G sweep needs either [sweep] lists or scalar gain values "
                 "in [controller]")
-        kf_list = kf_list or [read_number(spec.K_F, "[controller] K_F")]
-        kg_list = kg_list or [read_number(spec.K_G, "[controller] K_G")]
+        kf_list = kf_list or [spec.K_F]
+        kg_list = kg_list or [spec.K_G]
     return [(kf, kg) for kf in kf_list for kg in kg_list]
 
 
@@ -316,7 +315,7 @@ def run_simulate(cfg: ExperimentConfig, outdir: Path, dt: float | None = None,
     results = []
     for je_value, label in runs:
         sc = Scenario(plant=plant, controller=_controller(cfg, plant, je_value)[1], outer=outer,
-                      environment=environment, input=signal, T=float(sim_T), dt=sim_dt)
+                      environment=environment, input=signal, T=sim_T, dt=sim_dt)
         results.append((label, je_value, simulate(sc)))
 
     target_result = None
@@ -324,7 +323,7 @@ def run_simulate(cfg: ExperimentConfig, outdir: Path, dt: float | None = None,
         K_theta, D_theta, q_d = target_spec
         ref_dt = results[0][2].dt
         target_result = simulate_target_dynamics(plant, K_theta, D_theta, q_d, signal,
-                                                 float(sim_T), ref_dt)
+                                                 sim_T, ref_dt)
         header = ["t"] + [f"q_{i + 1}" for i in range(n)] + [f"qdot_{i + 1}" for i in range(n)]
         write_csv(outdir / "sim_target.csv", header,
                   np.column_stack([target_result.t, target_result.q, target_result.qdot]))
@@ -550,7 +549,7 @@ def _load_config(path: str) -> ExperimentConfig:
 def _outdir(out: str | None, cfg: ExperimentConfig) -> Path:
     """``--out``, else the configuration's ``[output] dir``."""
     out = out if out is not None else cfg.output.get("dir")
-    if not isinstance(out, str):
+    if out is None:
         raise ConfigurationError("no output directory: pass --out or set [output] dir")
     return Path(out)
 

@@ -1,28 +1,27 @@
 """Experiment configuration: a small sectioned key-value format.
 
 Files consist of ``[section]`` headers and ``key = value`` lines; ``#``
-starts a comment.  Values can be
-
-* numbers (scientific notation accepted),
-* booleans (``true/false/on/off/yes/no``),
-* comma-separated lists: ``-0.9, 0, 0.9``,
-* matrices: ``diag(1000, 1000)`` or row lists ``[[1, 2], [3, 4]]``,
-* input specs: ``zero``, ``step(amplitude, joint, start)``,
-  ``sinusoid(amplitude, frequency, joint)`` (1-based integer joint index).
-
-Sections: ``plant`` (required), ``controller`` (exactly one of the gain
-pair ``K_F``/``K_G`` or the shaped pair ``J_e``/``K_e``), ``outer_loop``,
-``target``, ``nonlinear_target``, ``environment``, ``sweep`` (lists of
-``K_F``, ``K_G``, or ``J_e`` values), ``sim`` (``dt``, ``T``, ``input``),
-``output`` (``dir``, used when ``--out`` is not given).  ``serialize_config``
-emits a canonical form whose re-parse compares equal to the original.
+starts a comment.  ``_SCHEMA`` names every section and key with the kind of
+its value, and ``parse_config`` reads each value by that kind: a finite
+number (scientific notation accepted), a count (an integer >= 1), a vector
+(a number or a list ``-0.9, 0, 0.9`` or ``[-0.9, 0, 0.9]``), a matrix (a
+vector, ``diag(1000, 1000)`` or rows ``[[1, 2], [3, 4]]``), a non-empty
+number list, a boolean (``true/false/on/off/yes/no``), an input spec
+(``zero``, ``step(amplitude, joint, start)`` or ``sinusoid(amplitude,
+frequency, joint)`` with a 1-based joint; omitted trailing arguments
+default to ``0, 1, 0`` and ``0, 1, 1``) or a name (the text as written).
+An unknown section or key, or a value not of its key's kind, raises a
+``ConfigurationError`` naming ``[section] key``, whatever the command.  The
+builders check shapes against the joint count.  ``serialize_config`` emits
+a canonical form whose re-parse compares equal to the original.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,9 +50,6 @@ class ExperimentConfig:
     output: dict = field(default_factory=dict)
 
 
-_KNOWN_SECTIONS = tuple(f.name for f in fields(ExperimentConfig))
-
-
 @dataclass(frozen=True)
 class GainPair:
     """Controller given as the gain pair; K_H follows from the plant."""
@@ -70,57 +66,90 @@ class ShapedPair:
     K_e: object
 
 
-def _parse_value(text: str, where: str):
-    text = text.strip()
-    if text == "":
-        raise ConfigurationError(f"{where}: empty value")
-    low = text.lower()
-    if low in ("true", "on", "yes"):
-        return True
-    if low in ("false", "off", "no"):
-        return False
-    if low == "zero":
-        return ("zero",)
+# Value kinds: each parser raises ValueError, TypeError, LookupError or
+# SyntaxError on text that is not of its kind.
+
+def _number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _count(text: str) -> int:
+    value = _number(text)
+    if value < 1 or value != int(value):
+        raise ValueError(text)
+    return int(value)
+
+
+def _array(text: str, ndim: int, ndmin: int = 0):
+    """A float (0-D), list (1-D) or list of rows (2-D) of finite numbers, of
+    ``ndmin`` to ``ndim`` dimensions."""
     call = _CALL_RE.match(text)
-    if call:
-        name = call.group(1).lower()
-        raw_args = call.group(2).strip()
-        args = [a.strip() for a in raw_args.split(",")] if raw_args else []
-        try:
-            vals = [float(a) for a in args]
-        except ValueError:
-            raise ConfigurationError(f"{where}: non-numeric argument in {text!r}") from None
-        if name == "diag":
-            if not vals:
-                raise ConfigurationError(f"{where}: diag() needs at least one entry")
-            return [[vals[i] if i == j else 0.0 for j in range(len(vals))]
-                    for i in range(len(vals))]
-        if name in ("step", "sinusoid"):
-            return (name, *vals)
-        raise ConfigurationError(f"{where}: unknown function {name!r}")
-    if text.startswith("["):
-        try:
-            parsed = ast.literal_eval(text)
-        except (ValueError, SyntaxError):
-            raise ConfigurationError(f"{where}: malformed bracket expression {text!r}") from None
-        if isinstance(parsed, (list, tuple)) and parsed and isinstance(parsed[0], (list, tuple)):
-            return [[float(v) for v in row] for row in parsed]
-        return [float(v) for v in parsed]
-    if "," in text:
-        try:
-            return [float(v) for v in text.split(",")]
-        except ValueError:
-            raise ConfigurationError(f"{where}: malformed list {text!r}") from None
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    if call and call.group(1).lower() == "diag":
+        d = [_number(v) for v in call.group(2).split(",")]
+        value = [[v if i == j else 0.0 for j in range(len(d))] for i, v in enumerate(d)]
+    elif text.startswith("["):
+        value = ast.literal_eval(text)
+    else:
+        value = [_number(v) for v in text.split(",")] if "," in text else _number(text)
+    arr = np.array(value, dtype=float, ndmin=ndmin)
+    if arr.ndim > ndim or arr.size == 0 or not np.all(np.isfinite(arr)):
+        raise ValueError(text)
+    return arr.tolist()
+
+
+_BOOLEANS = {"true": True, "on": True, "yes": True, "false": False, "off": False, "no": False}
+
+# argument kinds and defaults of each input spec
+_INPUTS = {"zero": (), "step": ((_number, 0.0), (_count, 1), (_number, 0.0)),
+           "sinusoid": ((_number, 0.0), (_number, 1.0), (_count, 1))}
+
+
+def _input(text: str) -> tuple:
+    call = _CALL_RE.match(text)
+    name, raw = (call.group(1).lower(), call.group(2)) if call else (text.lower(), "")
+    kinds = _INPUTS[name]
+    args = raw.split(",") if raw.strip() else []
+    if len(args) > len(kinds):
+        raise ValueError(text)
+    return (name, *(parse(a) for (parse, _), a in zip(kinds, args)),
+            *(default for _, default in kinds[len(args):]))
+
+
+_NUMBER = ("a finite number", _number)
+_COUNT = ("an integer >= 1", _count)
+_VECTOR = ("a finite number or list of them", lambda text: _array(text, 1))
+_MATRIX = ("a finite number, list or matrix", lambda text: _array(text, 2))
+_NUMBERS = ("a non-empty list of finite numbers", lambda text: _array(text, 1, 1))
+_BOOLEAN = ("true or false", lambda text: _BOOLEANS[text.lower()])
+_INPUT = ("zero, step(amplitude, joint, start) or sinusoid(amplitude, frequency, joint) "
+          "with a finite amplitude and an integer joint >= 1", _input)
+_NAME = ("a name", str)
+
+# section -> key -> (kind description, parser); the only place a key's kind is named
+_SCHEMA = {
+    "plant": {"type": _NAME, "n": _COUNT, "M": _MATRIX, "J": _MATRIX, "K": _MATRIX,
+              "D": _MATRIX, "link_lengths": _VECTOR, "link_masses": _VECTOR,
+              "motor_inertias": _MATRIX, "gravity": _BOOLEAN},
+    "controller": dict.fromkeys(("K_F", "K_G", "J_e", "K_e"), _MATRIX),
+    "outer_loop": {"K_phi": _MATRIX, "D_phi": _MATRIX, "phi_d": _VECTOR,
+                   "gravity_comp": _BOOLEAN},
+    "target": dict.fromkeys(("M_d", "K_d", "D_d"), _MATRIX),
+    "nonlinear_target": {"K_theta": _MATRIX, "D_theta": _MATRIX, "q_d": _VECTOR},
+    "environment": dict.fromkeys(("M_h", "D_h", "K_h"), _MATRIX),
+    "sweep": dict.fromkeys(("K_F", "K_G", "J_e"), _NUMBERS),
+    "sim": {"dt": _NUMBER, "T": _NUMBER, "input": _INPUT},
+    "output": {"dir": _NAME},
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse configuration text; unknown sections or malformed values raise."""
+    """Parse configuration text; an unknown section or key or a value not of
+    its key's kind raises ConfigurationError."""
     sections: dict[str, dict] = {}
-    current = None
+    name = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -129,18 +158,25 @@ def parse_config(text: str) -> ExperimentConfig:
             if not line.endswith("]"):
                 raise ConfigurationError(f"line {lineno}: malformed section header {raw!r}")
             name = line[1:-1].strip().lower()
-            if name not in _KNOWN_SECTIONS:
+            if name not in _SCHEMA:
                 raise ConfigurationError(f"line {lineno}: unknown section [{name}]")
-            current = sections.setdefault(name, {})
+            sections.setdefault(name, {})
             continue
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if current is None:
+        if name is None:
             raise ConfigurationError(f"line {lineno}: key outside of any section")
         key, value = (part.strip() for part in line.split("=", 1))
-        if not key:
-            raise ConfigurationError(f"line {lineno}: empty key")
-        current[key] = _parse_value(value, f"line {lineno}")
+        if key not in _SCHEMA[name]:
+            raise ConfigurationError(f"[{name}] {key} is not a known key (line {lineno})")
+        if not value:
+            raise ConfigurationError(f"[{name}] {key} has no value (line {lineno})")
+        what, parse = _SCHEMA[name][key]
+        try:
+            sections[name][key] = parse(value)
+        except (LookupError, SyntaxError, TypeError, ValueError):
+            raise ConfigurationError(
+                f"[{name}] {key} must be {what}, got {value!r} (line {lineno})") from None
 
     if "plant" not in sections:
         raise ConfigurationError("missing required [plant] section")
@@ -157,41 +193,24 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigurationError(
                 "[controller] must supply exactly one parametrization: "
                 "either K_F and K_G, or J_e and K_e")
-    for key, values in list(cfg.sweep.items()):
-        if key not in ("K_F", "K_G", "J_e"):
-            raise ConfigurationError(f"[sweep] supports K_F, K_G, J_e; got {key!r}")
-        if isinstance(values, float):
-            values = [values]
-        if not isinstance(values, list) or not values:
-            raise ConfigurationError(f"[sweep] {key} must be a non-empty list of numbers")
-        cfg.sweep[key] = [read_number(v, f"[sweep] {key}") for v in values]
-    for key in ("T", "dt"):
-        if key in cfg.sim:
-            cfg.sim[key] = read_number(cfg.sim[key], f"[sim] {key}")
 
 
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
+    if isinstance(value, (int, float)):
         return format(value, ".17g")
-    if isinstance(value, tuple):
-        if value[0] == "zero":
-            return "zero"
-        return f"{value[0]}({', '.join(format(v, '.17g') for v in value[1:])})"
     if isinstance(value, list):
-        if value and isinstance(value[0], list):
-            rows = ", ".join("[" + ", ".join(format(v, ".17g") for v in row) + "]"
-                             for row in value)
-            return f"[{rows}]"
-        return ", ".join(format(v, ".17g") for v in value)
-    return str(value)
+        return "[" + ", ".join(map(_format_value, value)) + "]"
+    if isinstance(value, tuple):
+        return value[0] + "(" + ", ".join(map(_format_value, value[1:])) + ")"
+    return value
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; ``parse_config(serialize_config(cfg)) == cfg``."""
     lines = []
-    for name in _KNOWN_SECTIONS:
+    for name in _SCHEMA:
         section = getattr(cfg, name)
         if section is None or (section == {} and name != "plant"):
             continue
@@ -206,44 +225,37 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 # builders
 # ---------------------------------------------------------------------------
 
-def read_number(value, key: str, integer: bool = False):
-    """``value`` as a finite float, or an int when ``integer``; anything else
-    raises a ConfigurationError that names ``key``."""
-    if isinstance(value, bool) or not (isinstance(value, (int, float)) and np.isfinite(value)):
-        raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
-    if integer and value != int(value):
-        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
-    return int(value) if integer else float(value)
-
-
-def _require(section: dict, key: str, where: str):
-    if key not in section:
+def _get(cfg: ExperimentConfig, where: str, key: str, n: int | None = None,
+         coerce=as_matrix, default=None):
+    """``[where] key``, or ``default`` when given; with ``n``, coerced to
+    ``n`` joints by ``coerce`` under the name ``[where] key``."""
+    value = getattr(cfg, where).get(key, default)
+    if value is None:
         raise ConfigurationError(f"[{where}] is missing {key!r}")
-    return section[key]
+    return value if n is None else coerce(value, n, f"[{where}] {key}")
 
 
 def build_plant(cfg: ExperimentConfig):
     """Instantiate the plant described by [plant]."""
-    sec = cfg.plant
-    kind = sec.get("type", "linear")
+    kind = cfg.plant.get("type", "linear")
     if kind == "two_link_arm":
         return two_link_arm(
-            link_lengths=_require(sec, "link_lengths", "plant"),
-            link_masses=_require(sec, "link_masses", "plant"),
-            motor_inertias=_require(sec, "motor_inertias", "plant"),
-            joint_stiffness=np.array(_require(sec, "K", "plant")),
-            joint_damping=np.array(sec.get("D", 0.0)),
-            gravity=bool(sec.get("gravity", False)),
+            link_lengths=_get(cfg, "plant", "link_lengths", 2, as_vector),
+            link_masses=_get(cfg, "plant", "link_masses", 2, as_vector),
+            motor_inertias=_get(cfg, "plant", "motor_inertias", 2),
+            joint_stiffness=_get(cfg, "plant", "K", 2),
+            joint_damping=_get(cfg, "plant", "D", 2, default=0.0),
+            gravity=cfg.plant.get("gravity", False),
         )
     if kind != "linear":
-        raise ConfigurationError(f"[plant] unknown type {kind!r}")
-    n = read_number(_require(sec, "n", "plant"), "[plant] n", integer=True)
+        raise ConfigurationError(f"[plant] type must be linear or two_link_arm, got {kind!r}")
+    n = _get(cfg, "plant", "n")
     return LinearRobotParams(
         n=n,
-        M=np.array(_require(sec, "M", "plant")),
-        J=np.array(_require(sec, "J", "plant")),
-        K=np.array(_require(sec, "K", "plant")),
-        D=np.array(sec.get("D", 0.0)),
+        M=_get(cfg, "plant", "M", n),
+        J=_get(cfg, "plant", "J", n),
+        K=_get(cfg, "plant", "K", n),
+        D=_get(cfg, "plant", "D", n, default=0.0),
     )
 
 
@@ -260,66 +272,52 @@ def build_controller_spec(cfg: ExperimentConfig):
 def build_outer_loop(cfg: ExperimentConfig, n: int) -> OuterLoop | None:
     if cfg.outer_loop is None:
         return None
-    sec = cfg.outer_loop
     return OuterLoop(
-        K_phi=as_matrix(np.array(_require(sec, "K_phi", "outer_loop")), n, "K_phi"),
-        D_phi=as_matrix(np.array(_require(sec, "D_phi", "outer_loop")), n, "D_phi"),
-        phi_d=as_vector(np.array(sec.get("phi_d", 0.0)), n, "phi_d"),
-        gravity_comp=bool(sec.get("gravity_comp", False)),
+        K_phi=_get(cfg, "outer_loop", "K_phi", n),
+        D_phi=_get(cfg, "outer_loop", "D_phi", n),
+        phi_d=_get(cfg, "outer_loop", "phi_d", n, as_vector, 0.0),
+        gravity_comp=cfg.outer_loop.get("gravity_comp", False),
     )
 
 
 def build_target(cfg: ExperimentConfig) -> TargetImpedance | None:
     if cfg.target is None:
         return None
-    sec = cfg.target
     return TargetImpedance(
         n=1,
-        M_d=_require(sec, "M_d", "target"),
-        K_d=_require(sec, "K_d", "target"),
-        D_d=_require(sec, "D_d", "target"),
+        M_d=_get(cfg, "target", "M_d", 1),
+        K_d=_get(cfg, "target", "K_d", 1),
+        D_d=_get(cfg, "target", "D_d", 1),
     )
 
 
 def build_environment(cfg: ExperimentConfig, n: int) -> EnvironmentImpedance | None:
     if cfg.environment is None:
         return None
-    sec = cfg.environment
     return EnvironmentImpedance(
         n=n,
-        M_h=np.array(sec.get("M_h", 0.0)),
-        D_h=np.array(sec.get("D_h", 0.0)),
-        K_h=np.array(sec.get("K_h", 0.0)),
+        M_h=_get(cfg, "environment", "M_h", n, default=0.0),
+        D_h=_get(cfg, "environment", "D_h", n, default=0.0),
+        K_h=_get(cfg, "environment", "K_h", n, default=0.0),
     )
 
 
 def build_input(cfg: ExperimentConfig) -> InputSignal:
     """Input signal from [sim] input=...; joint indices are 1-based here."""
-    spec = cfg.sim.get("input", ("zero",))
-    if not isinstance(spec, tuple):
-        spec = (spec,)
-    kind, args = spec[0], spec[1:]
-    if kind == "zero":
-        return InputSignal.zero()
-    # step(amplitude, joint, start) and sinusoid(amplitude, frequency, joint)
-    defaults = {"step": (0.0, 1.0, 0.0), "sinusoid": (0.0, 1.0, 1.0)}.get(kind)
-    if defaults is None:
-        raise ConfigurationError(f"[sim] unknown input kind {kind!r}")
-    if len(args) > len(defaults):
-        raise ConfigurationError(f"[sim] input {kind}() takes at most {len(defaults)} "
-                                 f"arguments, got {len(args)}")
-    a, b, c = args + defaults[len(args):]
+    kind, *args = cfg.sim.get("input", ("zero",))
     if kind == "step":
-        return InputSignal.step(a, read_number(b, "[sim] input joint", integer=True) - 1, c)
-    return InputSignal.sinusoid(a, b, read_number(c, "[sim] input joint", integer=True) - 1)
+        amplitude, joint, start = args
+        return InputSignal.step(amplitude, joint - 1, start)
+    if kind == "sinusoid":
+        amplitude, frequency, joint = args
+        return InputSignal.sinusoid(amplitude, frequency, joint - 1)
+    return InputSignal.zero()
 
 
 def build_nonlinear_target(cfg: ExperimentConfig, n: int):
     """(K_theta, D_theta, q_d) triple from [nonlinear_target], if present."""
     if cfg.nonlinear_target is None:
         return None
-    sec = cfg.nonlinear_target
-    K_theta = as_matrix(np.array(_require(sec, "K_theta", "nonlinear_target")), n, "K_theta")
-    D_theta = as_matrix(np.array(_require(sec, "D_theta", "nonlinear_target")), n, "D_theta")
-    q_d = as_vector(np.array(sec.get("q_d", 0.0)), n, "q_d")
-    return K_theta, D_theta, q_d
+    return (_get(cfg, "nonlinear_target", "K_theta", n),
+            _get(cfg, "nonlinear_target", "D_theta", n),
+            _get(cfg, "nonlinear_target", "q_d", n, as_vector, 0.0))

@@ -325,8 +325,8 @@ def two_link_arm(link_lengths, link_masses, motor_inertias, joint_stiffness,
     gravity : bool
         Include gravity, ``g = 9.81`` m/s^2, acting along -y of the link plane.
     """
-    l1, l2 = (float(v) for v in link_lengths)
-    m1, m2 = (float(v) for v in link_masses)
+    l1, l2 = as_vector(link_lengths, 2, "link_lengths").tolist()
+    m1, m2 = as_vector(link_masses, 2, "link_masses").tolist()
     if min(l1, l2, m1, m2) <= 0.0:
         raise ValidationError("link lengths and masses must be positive")
     lc1, lc2 = 0.5 * l1, 0.5 * l2

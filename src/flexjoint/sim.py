@@ -69,7 +69,7 @@ class InputSignal:
         if self.kind not in ("zero", "step", "sinusoid"):
             raise ValidationError(f"unknown input kind {self.kind!r}")
         if self.joint < 0:
-            raise ValidationError("joint index must be nonnegative")
+            raise ValidationError(f"input joint {self.joint} must be nonnegative (0-based)")
         for name in ("amplitude", "start", "frequency"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"input {name} must be finite")
@@ -89,7 +89,8 @@ class InputSignal:
     def require_joint(self, n: int) -> None:
         """Raise ``ValidationError`` unless the signal acts on one of n joints."""
         if self.kind != "zero" and self.joint >= n:
-            raise ValidationError(f"input joint {self.joint} out of range for n={n}")
+            raise ValidationError(f"input joint {self.joint} out of range for n={n} "
+                                  f"(0-based; joint {self.joint + 1} counting from 1)")
 
     def torque(self, t: float, n: int) -> np.ndarray:
         out = np.zeros(n)

@@ -14,6 +14,7 @@ from flexjoint.cli import (
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     ONEDOF_STUDY,
+    TWOLINK_STUDY,
     _claim,
     main,
     reproduce_paper,
@@ -238,12 +239,16 @@ class TestSimulate:
 
     @pytest.mark.parametrize("line, key", [
         ("n = nan", "[plant] n"), ("n = abc", "[plant] n"), ("n = 1.5", "[plant] n"),
-        ("M = abc", "M"), ("M = zero", "M"), ("K_phi = abc", "K_phi"),
+        ("M = abc", "[plant] M"), ("M = zero", "[plant] M"),
+        ("K_phi = abc", "[outer_loop] K_phi"),
         ("T = abc", "[sim] T"), ("dt = abc", "[sim] dt"),
         ("input = step(1, nan, 0)", "[sim] input"),
         ("input = sinusoid(1, 10, inf)", "[sim] input"),
         ("input = step(1, 1.5, 0)", "[sim] input"),
         ("input = step(1, 1, 0, 7)", "[sim] input"),
+        ("input = step(1, 0, 0)", "[sim] input"),
+        ("input = diag(1, 2, 3)", "[sim] input"),
+        ("K = [[1e6, [0]], [0, 1e6]]", "[plant] K"),
     ])
     def test_malformed_values_exit_2(self, line, key, tmp_path, capsys):
         # a value of the wrong type is malformed input (exit 2) named by its
@@ -255,6 +260,14 @@ class TestSimulate:
         path.write_text("\n".join(lines), encoding="utf-8")
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == EXIT_INFEASIBLE
         assert capsys.readouterr().err.startswith(f"error: {key} ")
+
+    def test_input_joint_is_named_as_written(self, tmp_path, capsys):
+        # the config counts joints from 1; the message says how it counts
+        path = tmp_path / "joint.cfg"
+        path.write_text(FAST_SIM.replace("input = step(1, 1, 0)", "input = step(1, 2, 0)"),
+                        encoding="utf-8")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == EXIT_INFEASIBLE
+        assert "joint 2 counting from 1" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_1(self, tmp_path, capsys):
@@ -419,3 +432,96 @@ def test_verify_on_two_link_config():
     # the positive-real check only applies to single-joint constant-mass plants
     assert "positive_real" not in names
     assert "equivalence_residual" in names
+
+
+# Each value of both bundled studies is replaced by each of these tokens:
+# malformed text, non-finite numbers, ragged rows, and values well formed for
+# some kinds but not for others.
+FUZZ_TOKENS = ("abc", "nan", "inf", "-inf", "[[1, [0]], [0, 1]]", "diag(1, 2, 3)", "1, 2, 3",
+               "true", "zero", "[1, 'a']", "step(1, 1, 0)", "[]")
+STUDIES = {"onedof": ONEDOF_STUDY, "twolink": TWOLINK_STUDY}
+
+
+def _study_values(name):
+    """(study, line index, section, key) of every value line of a bundled study."""
+    section, out = None, []
+    for i, row in enumerate(STUDIES[name].splitlines()):
+        if row.startswith("["):
+            section = row[1:-1]
+        elif " = " in row:
+            out.append((name, i, section, row.split(" = ")[0]))
+    return out
+
+
+STUDY_VALUES = _study_values("onedof") + _study_values("twolink")
+
+
+def _line_of(study, section, key):
+    (index,) = [i for s, i, sec, k in STUDY_VALUES if (s, sec, k) == (study, section, key)]
+    return index
+
+
+def _run_edited(study, index, line, argv, tmp_path, capsys):
+    """Exit code and stderr of ``main(argv)`` on the study with line ``index``
+    replaced by ``line`` (appended when ``index`` is None)."""
+    rows = STUDIES[study].splitlines()
+    if index is None:
+        rows.append(line)
+    else:
+        rows[index] = line
+    path = tmp_path / "edited.cfg"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code = main([argv[0], "--config", str(path), *argv[1:]])
+    return code, capsys.readouterr().err
+
+
+def _names_key(err, section, key):
+    # the control layer shapes [controller] gains against the plant and
+    # names them as its own arguments
+    return f"[{section}] {key}" in err or (section == "controller"
+                                           and err.startswith(f"error: {key}: "))
+
+
+class TestConfigFuzz:
+    """Every value of both bundled studies, replaced by each fuzz token, runs
+    through ``main``: it exits 0 or 2, raises nothing, and on 2 names its
+    ``[section] key``."""
+
+    @pytest.mark.parametrize("study, index, section, key", STUDY_VALUES,
+                             ids=[f"{s}-{sec}-{k}" for s, _, sec, k in STUDY_VALUES])
+    def test_every_value_through_synth(self, study, index, section, key, tmp_path, capsys):
+        assert len(STUDY_VALUES) == 35
+        for token in FUZZ_TOKENS:
+            code, err = _run_edited(study, index, f"{key} = {token}", ["synth"], tmp_path, capsys)
+            assert code in (EXIT_OK, EXIT_INFEASIBLE), token
+            assert code == EXIT_OK or _names_key(err, section, key), (token, err)
+
+    @pytest.mark.parametrize("study, section, key, token", [
+        ("onedof", "plant", "M", "[1, 'a']"), ("onedof", "sim", "input", "[]"),
+        ("onedof", "sim", "dt", "[1, 'a']"), ("onedof", "outer_loop", "K_phi", "1, 2, 3"),
+        ("twolink", "plant", "link_lengths", "1, 2, 3"),
+        ("twolink", "plant", "link_masses", "diag(1, 2, 3)"),
+        ("twolink", "nonlinear_target", "q_d", "1, 2, 3"), ("twolink", "plant", "gravity", "nan"),
+    ])
+    def test_values_through_simulate(self, study, section, key, token, tmp_path, capsys):
+        code, err = _run_edited(study, _line_of(study, section, key), f"{key} = {token}",
+                                ["simulate", "--horizon", "0.002", "--out", str(tmp_path)],
+                                tmp_path, capsys)
+        assert code == EXIT_INFEASIBLE and _names_key(err, section, key), err
+
+    @pytest.mark.parametrize("study, index, line, argv, key", [
+        # an unknown key, which was read as nothing
+        ("onedof", None, "[outer_loop]\nphi_D = 0.5", ["synth"], "[outer_loop] phi_D"),
+        # a boolean that is not one, which was read as true
+        ("twolink", _line_of("twolink", "plant", "gravity"), "gravity = abc", ["synth"],
+         "[plant] gravity"),
+        # a section the command does not read is still checked
+        ("onedof", None, "[target]\nM_d = abc", ["simulate", "--horizon", "0.002"],
+         "[target] M_d"),
+        ("twolink", None, "[environment]\nK_h = nan", ["synth"], "[environment] K_h"),
+    ])
+    def test_every_section_is_checked(self, study, index, line, argv, key, tmp_path, capsys):
+        if argv[0] == "simulate":
+            argv = [*argv, "--out", str(tmp_path)]
+        code, err = _run_edited(study, index, line, argv, tmp_path, capsys)
+        assert code == EXIT_INFEASIBLE and err.startswith(f"error: {key} "), err

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from flexjoint import ConfigurationError, LinearRobotParams, NonlinearRobotModel
 from flexjoint.config import (
+    _SCHEMA,
     GainPair,
     ShapedPair,
     build_controller_spec,
@@ -130,7 +133,110 @@ class TestParsing:
             parse_config("[plant]\nn = \n")
 
 
+BASE = "[plant]\nn = 1\nM = 3\nJ = 3\nK = 1e6\n"
+
+
+class TestSchema:
+    def test_counts_are_integers(self):
+        cfg = parse_config(BASE.replace("n = 1", "n = 2.0") + "[sim]\ninput = step(1, 2e0, 0)\n")
+        assert cfg.plant["n"] == 2 and isinstance(cfg.plant["n"], int)
+        assert isinstance(cfg.sim["input"][2], int)
+
+    @pytest.mark.parametrize("text, spec", [
+        ("zero", ("zero",)), ("Zero()", ("zero",)),
+        ("step(2)", ("step", 2.0, 1, 0.0)), ("STEP(2, 3)", ("step", 2.0, 3, 0.0)),
+        ("sinusoid(1, 5)", ("sinusoid", 1.0, 5.0, 1)),
+    ])
+    def test_input_defaults_are_filled(self, text, spec):
+        assert parse_config(BASE + f"[sim]\ninput = {text}\n").sim["input"] == spec
+
+    def test_names_are_text(self):
+        assert parse_config(BASE + "[output]\ndir = 1\n").output["dir"] == "1"
+
+    def test_numbers_lists_become_lists(self):
+        cfg = parse_config(BASE + "[sweep]\nJ_e = 0.5\nK_F = [1, 2]\n")
+        assert cfg.sweep == {"J_e": [0.5], "K_F": [1.0, 2.0]}
+
+    @pytest.mark.parametrize("section, line", [
+        ("outer_loop", "phi_D = 0.5"), ("plant", "n = 0"), ("plant", "n = 2.5"),
+        ("plant", "gravity = maybe"), ("plant", "M = [[1, 2], [3]]"), ("plant", "M = [[[1]]]"),
+        ("plant", "M = ['1', 'a']"), ("plant", "link_lengths = diag(1, 2)"),
+        ("plant", "K = 1, inf"), ("sweep", "K_F = []"), ("sweep", "J_e = diag(1)"),
+        ("sim", "input = ramp(1)"), ("sim", "input = step(1, 1, 0, 7)"),
+        ("sim", "input = sinusoid(1, 2, 0)"), ("sim", "dt = 1e999"), ("output", "dir ="),
+    ])
+    def test_each_key_is_checked_where_it_is_read(self, section, line):
+        key = line.split("=")[0].strip()
+        text = BASE.replace("[plant]", f"[plant]\n{line}") if section == "plant" \
+            else BASE + f"[{section}]\n{line}\n"
+        with pytest.raises(ConfigurationError, match=re.escape(f"[{section}] {key} ")):
+            parse_config(text)
+
+
+# Every key of the table: the plant's keys of both types, and the two
+# controller parametrizations in turn.
+EVERY_KEY = """
+[plant]
+type = two_link_arm
+n = 2
+M = [[3, 0.5], [0.5, 2]]
+J = 1.5, 2
+K = diag(1e4, 2e4)
+D = 1
+link_lengths = [0.5, 0.4]
+link_masses = 4, 2.5
+motor_inertias = 1
+gravity = yes
+
+[controller]
+{controller}
+
+[outer_loop]
+K_phi = 1000
+D_phi = 135
+phi_d = 0.1, -0.2
+gravity_comp = on
+
+[target]
+M_d = 3
+K_d = [10]
+D_d = [[100]]
+
+[nonlinear_target]
+K_theta = diag(1000, 900)
+D_theta = 135
+q_d = [0.3, 0]
+
+[environment]
+M_h = 1
+D_h = 2, 3
+K_h = 50
+
+[sweep]
+K_F = -0.9, 0, 0.9
+K_G = 1
+J_e = [1, 0.5, 0.25]
+
+[sim]
+dt = 5e-5
+T = 1.5
+input = sinusoid(2, 15)
+
+[output]
+dir = results/run 1
+"""
+CONTROLLERS = ("K_F = 0.9\nK_G = [[4, 0], [0, 4]]", "J_e = diag(1, 1)\nK_e = 2e4")
+
+
 class TestRoundTrip:
+    def test_whole_table_round_trips(self):
+        keys = set()
+        for controller in CONTROLLERS:
+            cfg = parse_config(EVERY_KEY.format(controller=controller))
+            assert parse_config(serialize_config(cfg)) == cfg
+            keys |= {(name, key) for name in _SCHEMA for key in getattr(cfg, name)}
+        assert keys == {(name, key) for name, section in _SCHEMA.items() for key in section}
+
     @pytest.mark.parametrize("text", [ONEDOF, TWOLINK])
     def test_serialize_then_parse_is_identity(self, text):
         cfg = parse_config(text)

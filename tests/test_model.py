@@ -142,6 +142,16 @@ class TestTwoLinkArm:
         with pytest.raises(ValidationError):
             two_link_arm([0.5, 0.4], [4.0, 2.5], [1.0, -1.0], 1e4, 0.0)
 
+    @pytest.mark.parametrize("lengths, masses, name", [
+        ([0.5, 0.4, 0.3], [4.0, 2.5], "link_lengths"),
+        ([0.5], [4.0, 2.5], "link_lengths"),
+        ([0.5, 0.4], ["a", 1], "link_masses"),
+        ([0.5, 0.4], [[4.0, 0.0], [0.0, 2.5]], "link_masses"),
+    ])
+    def test_rejects_malformed_link_lists(self, lengths, masses, name):
+        with pytest.raises(ValidationError, match=name):
+            two_link_arm(lengths, masses, [1.0, 1.0], 1e4, 0.0)
+
 
 class TestBatchEvaluators:
     """Every evaluator takes a (k, n) batch and returns the row-by-row values."""
