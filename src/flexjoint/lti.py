@@ -4,8 +4,8 @@ State-space assembly of every constant-mass chart (the plant under the
 control law, the shaped loop, and its interconnection with a
 mass-spring-damper environment), exact 1-DOF admittances, transfer
 functions from state space via the Faddeev-LeVerrier recursion (algebra
-only: roots are found by ``poles_zeros`` and ``positive_real_check``, the
-two functions that report them), frequency responses, pole/zero
+whose only tolerances are in ``_clean_coeffs``: roots are found by
+``poles_zeros`` and ``positive_real_check``), frequency responses, pole/zero
 extraction, and a grid-based positive-real check.
 
 The closed-loop admittance from external torque to link velocity for one
@@ -94,14 +94,12 @@ class RationalTF:
     cancelled: tuple = ()
 
     def __post_init__(self):
-        num = trim(self.num)
-        den = trim(self.den)
-        if float(np.max(np.abs(den))) == 0.0:
+        for name in ("num", "den"):
+            c = trim(getattr(self, name))
+            c.setflags(write=False)
+            object.__setattr__(self, name, c)
+        if not np.any(self.den):
             raise ValidationError("denominator is identically zero")
-        num.setflags(write=False)
-        den.setflags(write=False)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
         object.__setattr__(self, "cancelled", tuple(self.cancelled))
 
 
@@ -310,17 +308,21 @@ def _faddeev_leverrier(A: np.ndarray, B: np.ndarray, C: np.ndarray):
 
 
 def _clean_coeffs(c: np.ndarray) -> np.ndarray:
-    """Zero the low-order run of coefficients at or below 1e-9 of the largest.
+    """The conversion's coefficient tolerances, all in one place.
 
-    The recursion leaves rounding residue where coefficients are exactly
-    zero at the origin (rigid-body modes); without cleaning, a double root
-    there splits into a spurious pair of magnitude sqrt(noise).  Only the
-    run from the constant term up to the first larger coefficient is
-    zeroed: small interior coefficients are genuine for n >= 2.
+    Zeroes the low-order run of coefficients at or below 1e-9 of the
+    largest: the recursion's residue where rigid-body modes put exact
+    zeros, which would split a double root at the origin into a spurious
+    pair (small interior coefficients are genuine for n >= 2).  Drops
+    leading ones at or below 1e-13 of the largest, losing a genuine one
+    from three joints on: a cut kept only until the benchmark can absorb
+    more designs reaching root finding (ROADMAP item 1).
     """
-    out = c.copy()
-    small = np.abs(out) <= 1e-9 * float(np.max(np.abs(out)))
-    out[:int(np.argmin(small))] = 0.0
+    c = as_floats(c, "coefficients")
+    scale = float(np.max(np.abs(c)))
+    kept = np.flatnonzero(np.abs(c) > 1e-13 * scale)
+    out = c[:kept[-1] + 1].copy() if kept.size else np.zeros(1)
+    out[:int(np.argmin(np.abs(out) <= 1e-9 * scale))] = 0.0
     return out
 
 
@@ -328,13 +330,13 @@ def ss_to_tf(ss: StateSpace, input_index: int = 0, output_index: int = 0) -> Rat
     """Transfer function of one input/output pair of a state-space system.
 
     Uses the Faddeev-LeVerrier recursion for the characteristic polynomial
-    and numerator, then strips their common power of s, left exact by
-    ``_clean_coeffs`` (recorded in ``cancelled``); other common factors of
-    a non-minimal realization stay.  No roots are computed.  On shaped
-    loops of one and two joints the result matches the resolvent; from
-    three joints on, ``trim`` can drop a genuine leading coefficient (the
-    denominator's 1 or the numerator's C B, below 1e-13 of the largest),
-    so evaluate the state-space response there.  Refused above ``MAX_TF_STATES`` states,
+    and numerator, cleans both by ``_clean_coeffs`` (the conversion's only
+    tolerances), then strips their common power of s (recorded in
+    ``cancelled``); other common factors of a non-minimal realization stay.
+    No roots are computed.  On shaped loops of one and two joints the
+    result matches the resolvent; from three joints on, the high-order cut
+    can drop the denominator's 1 or the numerator's C B, so evaluate the
+    state-space response there.  Refused above ``MAX_TF_STATES`` states,
     where the polynomial route loses too much precision; evaluate the
     resolvent directly at frequencies of interest instead.
     """
@@ -350,8 +352,8 @@ def ss_to_tf(ss: StateSpace, input_index: int = 0, output_index: int = 0) -> Rat
     den, num = _faddeev_leverrier(ss.A, b, c)
     if d != 0.0:
         num = P.polyadd(num, d * den)
-    num = _clean_coeffs(trim(num))
-    den = _clean_coeffs(trim(den))
+    num = _clean_coeffs(num)
+    den = _clean_coeffs(den)
     k = min(int(np.argmax(num != 0.0)), int(np.argmax(den != 0.0)))   # 0 for a zero num
     return RationalTF(num[k:], den[k:], (0j,) * k)
 

@@ -2,11 +2,12 @@
 
 Coefficients are ordered constant-term first (``c[k]`` multiplies
 ``s**k``), as in ``numpy.polynomial.polynomial``, which supplies the
-arithmetic.  This module adds a relative ``trim``, real products of
-conjugate pairs, and a certified root finder: Aberth-Ehrlich iteration
-started from companion-matrix eigenvalues, roots of real polynomials
-snapped into exact conjugate pairs, and a backward-error certificate
-on every root.
+arithmetic.  No coefficient is cut for being small: ``trim`` drops only
+exact zeros.  This module adds real products of conjugate pairs and a
+certified root finder: Aberth-Ehrlich iteration started from the
+companion-matrix eigenvalues of the frequency-scaled polynomial, roots
+snapped into exact conjugate pairs, and a backward-error certificate on
+every root.
 """
 
 from __future__ import annotations
@@ -24,41 +25,43 @@ _CONJ_SNAP_RTOL = 1e-8
 
 
 def trim(coeffs) -> np.ndarray:
-    """Drop leading (highest-order) coefficients at or below 1e-13 of the largest.
+    """Drop exactly-zero leading (highest-order) coefficients; all-zero gives ``[0.0]``.
 
     Non-finite coefficients raise ``ValidationError``.
     """
     c = np.atleast_1d(as_floats(coeffs, "coefficients"))
     if c.ndim != 1 or c.size == 0:
         raise ValidationError("coefficients must be a non-empty 1-D sequence")
-    scale = float(np.max(np.abs(c)))
-    if scale == 0.0:
-        return np.zeros(1)
-    keep = c.size
-    while keep > 1 and abs(c[keep - 1]) <= 1e-13 * scale:
-        keep -= 1
-    return c[:keep].copy()
+    nonzero = np.flatnonzero(c)
+    return c[:nonzero[-1] + 1].copy() if nonzero.size else np.zeros(1)
+
+
+def _pair_conjugates(roots):
+    """Yield, in the given order, ``(re, 0.0)`` for a root with ``|im|`` at
+    most ``_CONJ_SNAP_RTOL`` of its modulus, ``(re, im)``, ``im > 0``, for a
+    root and its nearest conjugate averaged into ``re ± j im``, and
+    ``(root, None)`` for a complex root left without a partner."""
+    remaining = list(roots)
+    while remaining:
+        r = remaining.pop(0)
+        if abs(r.imag) <= _CONJ_SNAP_RTOL * abs(r):
+            yield r.real, 0.0
+        elif not remaining:
+            yield r, None
+        else:
+            other = remaining.pop(int(np.argmin([abs(o - r.conjugate()) for o in remaining])))
+            yield 0.5 * (r.real + other.real), 0.5 * (abs(r.imag) + abs(other.imag))
 
 
 def poly_from_roots(roots, leading: float = 1.0) -> np.ndarray:
     """Real polynomial with the given roots; conjugate pairs are multiplied
-    as real quadratics so no imaginary residue leaks into the coefficients."""
-    remaining = list(np.asarray(roots, dtype=complex))
+    as real quadratics so no imaginary residue leaks into the coefficients.
+    A complex root without a conjugate partner raises ``ValidationError``."""
     out = np.array([float(leading)])
-    while remaining:
-        r = remaining.pop(0)
-        if abs(r.imag) <= _CONJ_SNAP_RTOL * (1.0 + abs(r)):
-            out = P.polymul(out, [-r.real, 1.0])
-            continue
-        # find and consume the conjugate partner
-        dists = [abs(other - r.conjugate()) for other in remaining]
-        if not dists:
-            raise ValidationError(f"unpaired complex root {r}")
-        j = int(np.argmin(dists))
-        other = remaining.pop(j)
-        re = 0.5 * (r.real + other.real)
-        im = 0.5 * (abs(r.imag) + abs(other.imag))
-        out = P.polymul(out, [re * re + im * im, -2.0 * re, 1.0])
+    for re, im in _pair_conjugates(np.asarray(roots, dtype=complex)):
+        if im is None:
+            raise ValidationError(f"unpaired complex root {re}")
+        out = P.polymul(out, [-re, 1.0] if im == 0.0 else [re * re + im * im, -2.0 * re, 1.0])
     return out
 
 
@@ -82,39 +85,29 @@ def _aberth_iterate(c: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _enforce_conjugates(roots: np.ndarray) -> np.ndarray:
-    """Pair roots of a real polynomial into exact conjugates."""
+    """Pair roots of a real polynomial into exact conjugates; a complex root
+    without a partner keeps its real part."""
     out = []
-    remaining = list(roots)
-    remaining.sort(key=lambda r: (-abs(r.imag), r.real))
-    while remaining:
-        r = remaining.pop(0)
-        if abs(r.imag) <= _CONJ_SNAP_RTOL * (1.0 + abs(r)):
-            out.append(complex(r.real, 0.0))
-            continue
-        dists = [abs(other - r.conjugate()) for other in remaining]
-        if not dists:
-            out.append(complex(r.real, 0.0))
-            continue
-        j = int(np.argmin(dists))
-        partner = remaining.pop(j)
-        re = 0.5 * (r.real + partner.real)
-        im = 0.5 * (abs(r.imag) + abs(partner.imag))
-        out.append(complex(re, im))
-        out.append(complex(re, -im))
+    for re, im in _pair_conjugates(sorted(roots, key=lambda r: (-abs(r.imag), r.real))):
+        if im is None:
+            re, im = re.real, 0.0
+        out.extend([complex(re, im), complex(re, -im)] if im else [complex(re, 0.0)])
     return np.array(sorted(out, key=lambda r: (r.real, r.imag)), dtype=complex)
 
 
 def aberth_roots(coeffs) -> np.ndarray:
     """All roots of a real polynomial via simultaneous iteration.
 
-    Exact zero constant terms are factored out as roots at the origin.
-    The rest starts from the companion-matrix eigenvalues
-    (``numpy.polynomial.polynomial.polyroots``) and is refined by
-    Aberth-Ehrlich iteration.  Each root ``r`` is certified by its
-    backward error ``|p(r)| / sum_k |c_k| |r|^k`` (an exact root at the
-    origin of a polynomial with ``c_0 = 0`` counts as 0); a polynomial with
-    any backward error above ``ROOT_BACKWARD_ERROR``, or not a number,
-    raises ``RootFindingError`` carrying the backward errors.
+    Returns as many roots as the degree after ``trim``, however small the
+    leading coefficient.  Exact zero constant terms are factored out as
+    roots at the origin.  The rest, ``c_0 + ... + c_d s^d``, is solved in
+    ``sigma = s / w``, with ``w`` the power of two nearest
+    ``(|c_0| / |c_d|)^(1/d)``, a scaling without rounding: companion-matrix
+    eigenvalues (``numpy.polynomial.polynomial.polyroots``) refined by
+    Aberth-Ehrlich iteration.  Each root ``r`` is certified on the unscaled
+    coefficients by its backward error ``|p(r)| / sum_k |c_k| |r|^k``; any
+    above ``ROOT_BACKWARD_ERROR``, or not a number, raises
+    ``RootFindingError`` carrying the backward errors.
     """
     c_full = trim(coeffs)
     zeros_at_origin = int(np.argmax(c_full != 0.0))     # 0 for the zero polynomial
@@ -122,9 +115,11 @@ def aberth_roots(coeffs) -> np.ndarray:
     roots = [0.0 + 0.0j] * zeros_at_origin
 
     if c.size > 1:
-        cn = c / float(np.max(np.abs(c)))
-        z = _aberth_iterate(cn, P.polyroots(cn).astype(complex))
-        roots.extend(complex(v) for v in z)
+        e = int(np.rint((np.log2(abs(c[0])) - np.log2(abs(c[-1]))) / (c.size - 1)))
+        shift = e * np.arange(c.size)
+        cw = np.ldexp(c, shift - np.max((np.frexp(c)[1] + shift)[c != 0]))   # largest in [0.5, 1)
+        z = _aberth_iterate(cw, P.polyroots(cw).astype(complex))
+        roots.extend(complex(v) for v in z * 2.0 ** e)
 
     out = _enforce_conjugates(np.array(roots, dtype=complex))
     residuals = np.abs(P.polyval(out, c_full))

@@ -68,6 +68,8 @@ class InputSignal:
     def __post_init__(self):
         if self.kind not in ("zero", "step", "sinusoid"):
             raise ValidationError(f"unknown input kind {self.kind!r}")
+        if isinstance(self.joint, bool) or not isinstance(self.joint, (int, np.integer)):
+            raise ValidationError(f"input joint {self.joint!r} must be an integer index")
         if self.joint < 0:
             raise ValidationError(f"input joint {self.joint} must be nonnegative (0-based)")
         for name in ("amplitude", "start", "frequency"):

@@ -30,7 +30,7 @@ from .control import (
     control_law,
     gains_at,
 )
-from .errors import TransformSingularError
+from .errors import DegenerateModelError, TransformSingularError
 from .linalg import as_vector, matvec, solve
 from .model import (
     ChartState,
@@ -67,7 +67,7 @@ def _chart_map(xv: np.ndarray, sp: ShapedParams, model: NonlinearRobotModel) -> 
     """The plant-to-shaped map of packed states ``(..., 4n) -> (..., 4n)``,
     one batched solve with M(q) and one with J per call."""
     q, theta, p, s = (xv[..., k * model.n:(k + 1) * model.n] for k in range(4))
-    qdot = solve(model.mass_of(q), p[..., None], "mass matrix")[..., 0]
+    qdot = solve(model.mass_of(q), p[..., None], "mass matrix", DegenerateModelError)[..., 0]
     thdot = solve(model.J, s[..., None], "J")[..., 0]
     S = solve(sp.K_e, model.K, "K_e", TransformSingularError)
     phi, phidot = switch_chart(q, theta, qdot, thdot, S)
@@ -83,7 +83,7 @@ def to_closed(x: OpenLoopState, sp: ShapedParams, m: RobotModel) -> ClosedLoopSt
 def from_closed(y: ClosedLoopState, sp: ShapedParams, m: RobotModel) -> OpenLoopState:
     """Exact inverse of ``to_closed``."""
     model = as_model(m, y, sp)
-    qdot = solve(model.mass_of(y.q), y.p, "mass matrix")
+    qdot = solve(model.mass_of(y.q), y.p, "mass matrix", DegenerateModelError)
     phidot = solve(sp.J_e, y.z, "J_e", TransformSingularError)
     S = solve(model.K, sp.K_e, "K", TransformSingularError)
     theta, thdot = switch_chart(y.q, y.phi, qdot, phidot, S)
@@ -93,7 +93,7 @@ def from_closed(y: ClosedLoopState, sp: ShapedParams, m: RobotModel) -> OpenLoop
 def closed_loop_energy(y: ClosedLoopState, sp: ShapedParams, m: RobotModel) -> float:
     """Shaped total energy; the storage function of the closed loop."""
     model = as_model(m, y, sp)
-    qdot = solve(model.mass_of(y.q), y.p, "mass matrix")
+    qdot = solve(model.mass_of(y.q), y.p, "mass matrix", DegenerateModelError)
     phidot = solve(sp.J_e, y.z, "J_e", TransformSingularError)
     return float(chart_energy(y.q, y.phi, y.p, y.z, qdot, phidot, sp.K_e)
                  + model.potential_of(y.q))

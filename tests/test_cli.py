@@ -1,4 +1,5 @@
 import csv
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -277,6 +278,38 @@ class TestSimulate:
                         encoding="utf-8")
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == EXIT_DIVERGED
         assert "state became non-finite" in capsys.readouterr().err
+
+
+def _without_section(text, section):
+    """``text`` with the ``[section]`` block removed."""
+    return re.sub(rf"\[{section}\]\n(?:(?:[^\[\n].*)?\n)*", "", text)
+
+
+class TestStudyPreconditions:
+    """A config a study cannot run on exits 2 with the study's own message."""
+
+    SHAPED = _without_section(FAST_SIM, "sweep").replace("K_F = 0.9\nK_G = 4", "J_e = 1\nK_e = 1e5")
+    JE_SWEEP = FAST_SIM.replace("K_F = -0.9, 0, 0.9\nK_G = 0, 1, 4", "J_e = 1, 2")
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("bode", SHAPED, "a full K_F/K_G sweep needs either [sweep] lists or scalar gain "
+                         "values in [controller]"),
+        ("simulate", JE_SWEEP, "a J_e sweep requires a shaped-parameter controller"),
+        ("bode", TWOLINK_STUDY, "this study requires a single-joint constant-mass plant"),
+        ("pzmap", _without_section(FAST_SIM, "target"),
+         "[target] section is required for the pole-zero study"),
+        ("synth", _without_section(FAST_SIM, "controller"),
+         "[controller] section is required for synth"),
+        ("verify", _without_section(FAST_SIM, "controller"),
+         "[controller] section is required for verify"),
+    ], ids=["gain-grid-without-gains", "je-sweep-with-gain-pair", "bode-on-two-link",
+            "pzmap-without-target", "synth-without-controller", "verify-without-controller"])
+    def test_exits_2_with_message(self, command, text, message, tmp_path, capsys):
+        path = tmp_path / "study.cfg"
+        path.write_text(text, encoding="utf-8")
+        out = [] if command == "verify" else ["--out", str(tmp_path)]
+        assert main([command, "--config", str(path), *out]) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestReproducePaper:

@@ -419,6 +419,34 @@ class TestPositiveReal:
         v = positive_real_check(RationalTF(num, [1.0, 1.0]))
         assert v.verdict == "not-passive"
 
+    # the doubt band: a pole real part in (1e-9, 1e-6] of max(1, |p|), or a
+    # grid minimum in [-1e-6, -1e-9), is beyond what the grid can decide
+    def test_marginal_pole_is_inconclusive(self):
+        # poles 1e-2 +- 1e5 j, real part 1e-7 of the modulus; Re > 0 on the grid
+        v = positive_real_check(RationalTF([1.0], [1e10 + 1e-4, -2e-2, 1.0]))
+        assert v.verdict == "inconclusive"
+        assert v.condition == "pole real part within grid doubt band"
+        assert v.witness.real == pytest.approx(1e-2, rel=1e-6)
+        assert abs(v.witness.imag) == pytest.approx(1e5, rel=1e-12)
+        assert v.min_real > 0.0
+
+    def test_grid_minimum_in_doubt_band_is_inconclusive(self):
+        # 1/(s + 1) - 1.1e-6: Re = 1/(1 + w^2) - 1.1e-6, about -1e-7 at the grid's 1e3 rad/s
+        v = positive_real_check(RationalTF([1.0 - 1.1e-6, -1.1e-6], [1.0, 1.0]))
+        assert v.verdict == "inconclusive"
+        assert v.condition == "grid real-part minimum within doubt band"
+        assert v.witness == pytest.approx(1e3)
+        assert v.min_real == pytest.approx(1.0 / (1.0 + 1e6) - 1.1e-6, rel=1e-6)
+
+    def test_grid_violation_outranks_marginal_pole(self):
+        # 1/(s - 1e-7): the pole is in the doubt band, but Re = -1e-7 / (w^2 + 1e-14)
+        # reaches -1e-3 at the grid's 1e-2 rad/s
+        v = positive_real_check(RationalTF([1.0], [-1e-7, 1.0]))
+        assert v.verdict == "not-passive"
+        assert v.condition == "negative real part on frequency grid"
+        assert v.witness == pytest.approx(1e-2)
+        assert v.min_real == pytest.approx(-1e-3, rel=1e-6)
+
     def test_rejects_non_finite_coefficients(self):
         # a NaN coefficient must not reach the verdict
         from flexjoint import ValidationError

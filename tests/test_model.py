@@ -5,15 +5,20 @@ import numpy as np
 import pytest
 
 from flexjoint import (
+    ClosedLoopState,
     DegenerateModelError,
     LinearRobotParams,
     NonlinearRobotModel,
     OpenLoopState,
+    ShapedParams,
     ValidationError,
     as_model,
+    closed_loop_energy,
+    from_closed,
     integrate,
     open_loop_energy,
     open_loop_field,
+    to_closed,
     two_link_arm,
 )
 from flexjoint.linalg import cholesky_lower
@@ -51,8 +56,12 @@ class TestOpenLoopEnergy:
             potential_of=lambda q: 0.0,
             gravity_grad_of=lambda q: np.zeros(1),
             J=1.0, K=1.0, D=0.0)
-        with pytest.raises(DegenerateModelError):
-            open_loop_energy(OpenLoopState(0.0, 0.0, 1.0, 0.0), model)
+        x, sp = OpenLoopState(0.0, 0.0, 1.0, 0.0), ShapedParams(1.0, 1.0, 0.0)
+        y = ClosedLoopState(0.0, 0.0, 1.0, 0.0)
+        for call in (lambda: open_loop_energy(x, model), lambda: to_closed(x, sp, model),
+                     lambda: from_closed(y, sp, model), lambda: closed_loop_energy(y, sp, model)):
+            with pytest.raises(DegenerateModelError, match="mass matrix is singular"):
+                call()
 
 
 class TestOpenLoopField:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from flexjoint import ValidationError
-from flexjoint.poly import aberth_roots, poly_from_roots, trim
+from flexjoint import RationalTF, RootFindingError, ValidationError
+from flexjoint.poly import ROOT_BACKWARD_ERROR, aberth_roots, poly_from_roots, trim
 
 
 def test_polyval_horner():
@@ -15,10 +15,67 @@ def test_polyval_horner():
     assert vals[1] == pytest.approx(-3.0)
 
 
-def test_trim_drops_leading_noise():
-    c = trim([1.0, 2.0, 1e-20])
-    assert c.tolist() == [1.0, 2.0]
+def test_trim_drops_only_exact_zeros():
+    assert trim([1.0, 2.0, 0.0, 0.0]).tolist() == [1.0, 2.0]
+    assert trim([1.0, 2.0, 1e-20]).tolist() == [1.0, 2.0, 1e-20]
+    assert trim([0.0, 0.0]).tolist() == [0.0]
     assert trim([0.0]).tolist() == [0.0]
+
+
+def test_tiny_leading_coefficient_keeps_its_root():
+    # 1e-20 s^2 + 2 s + 1: the leading coefficient is genuine, and so is its root
+    roots = np.sort_complex(aberth_roots([1.0, 2.0, 1e-20]))
+    assert roots.size == 2
+    assert roots[0] == pytest.approx(-2e20, rel=1e-12)
+    assert roots[1] == pytest.approx(-0.5, rel=1e-12)
+    assert RationalTF([1.0], [1.0, 2.0, 1e-20]).den.tolist() == [1.0, 2.0, 1e-20]
+
+
+@pytest.mark.parametrize("seed", [36, 37, 38])
+def test_root_count_is_the_exact_degree(seed):
+    # coefficient magnitudes graded by up to 1e21 from one end to the other,
+    # as in the stationary polynomials of the shaped loops, a quarter of them
+    # with the leading coefficient at 1e-20 of the largest; trailing exact
+    # zeros do not count toward the degree
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        deg = int(rng.integers(1, 13))
+        grade = rng.uniform(0.0, 21.0) * rng.choice([-1.0, 1.0]) * np.arange(deg + 1) / deg
+        c = rng.normal(0.0, 1.0, deg + 1) * 10.0 ** (grade + rng.uniform(-1.0, 1.0, deg + 1))
+        if rng.random() < 0.25:
+            c[-1] = rng.choice([-1e-20, 1e-20]) * np.max(np.abs(c))
+        roots = aberth_roots(np.r_[c, 0.0, 0.0])
+        assert roots.size == deg
+        backward = np.abs(P.polyval(roots, c)) / P.polyval(np.abs(roots), np.abs(c))
+        assert np.max(backward) <= ROOT_BACKWARD_ERROR
+
+
+@pytest.mark.xfail(strict=True, raises=RootFindingError,
+                   reason="the companion eigenvalues put both small roots at 0, 24 decades "
+                          "below the large one, and coincident starts never separate")
+def test_roots_spread_over_24_decades():
+    # roots 1e20 and +-9.9e-5 j
+    assert aberth_roots([-6717729.5206011785, 1410.8660966928246,
+                         -589287196129443.1, 5.8928719612944305e-06]).size == 3
+
+
+def test_small_conjugate_pair_stays_complex():
+    # the snap to the real axis is relative: +-1e-9 j is a pair, not a double root at 0
+    assert poly_from_roots([1e-9j, -1e-9j]).tolist() == [1e-18, 0.0, 1.0]
+    roots = aberth_roots([1e-18, 0.0, 1.0])
+    assert np.all(roots.real == 0.0)
+    assert np.sort(roots.imag) == pytest.approx([-1e-9, 1e-9], rel=1e-12)
+
+
+@pytest.mark.parametrize("roots", [
+    [1.0 + 1.0j], [1.0 + 1.0j, 1.0 - 1.0j, 5.0j],
+    pytest.param([-1.0, 2.0 - 3.0j, -4.0], marks=pytest.mark.xfail(
+        strict=True, reason="a complex root is paired with the root nearest its conjugate, "
+                            "however far; only a root left last raises")),
+])
+def test_unpaired_complex_root_is_rejected(roots):
+    with pytest.raises(ValidationError, match="unpaired complex root"):
+        poly_from_roots(roots)
 
 
 @pytest.mark.parametrize("bad", [[1.0, np.nan, 1.0, 2.0], [1.0, np.inf, 1.0, 2.0]])

@@ -143,6 +143,12 @@ class TestScenarioValidation:
                 with pytest.raises(ValidationError):
                     call()
 
+    @pytest.mark.parametrize("joint", [1.5, 1.0, "1", True, None])
+    def test_input_joint_must_be_an_integer_index(self, joint):
+        with pytest.raises(ValidationError, match=f"input joint {joint!r} must be an integer"):
+            InputSignal.step(1.0, joint)
+        assert InputSignal.step(1.0, np.int64(1)).torque(0.0, 2).tolist() == [0.0, 1.0]
+
 
 class TestPlantSimulation:
     def test_equilibrium_stays_stationary(self, paper_plant):
