@@ -12,7 +12,11 @@ reproduce-paper  run the bundled single-joint and two-link studies
 
 All artifacts are CSV with 17-significant-digit numbers, fixed column
 order, and newline-terminated rows, so identical configurations produce
-byte-identical files.
+byte-identical files.  ``csvfmt.write_csv`` writes them: each number reads
+as ``%.17g`` byte for byte.  A numpy kernel computes the digits of a block
+of cells at once and certifies them where the scaled value lies further
+than a margin of 2 eps (of the long double) from a rounding tie; the cells
+it cannot certify are formatted by ``%``.
 
 Exit codes: 0 success, 1 divergence during simulation, 2 infeasible or
 malformed configuration, 3 verification failure.
@@ -46,6 +50,7 @@ from .control import (
     recover_shaped,
     synthesize_gains,
 )
+from .csvfmt import write_csv
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -74,39 +79,6 @@ EXIT_OK = 0
 EXIT_DIVERGED = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY_FAILED = 3
-
-
-# ---------------------------------------------------------------------------
-# CSV plumbing
-# ---------------------------------------------------------------------------
-
-_CSV_BLOCK_ROWS = 4096
-
-
-def write_csv(path: Path, header: list[str], values, labels=None) -> None:
-    """Write ``header`` and one row per row of the 2-D float block ``values``
-    (an array or a sequence of number rows), each led by the string cells
-    ``labels[i]`` when given.
-
-    Numbers are ``%.17g`` (round-trip exact) after adding 0.0, which turns
-    -0.0 into 0.0; one ``%`` call formats each block of 4,096 rows.
-    """
-    with np.errstate(invalid="ignore"):     # a signalling NaN still reads nan
-        values = np.asarray(values, dtype=float) + 0.0
-    fmt = ["%.17g"] * values.shape[1]
-    if labels is not None:
-        width = len(labels[0])
-        cells = np.empty((values.shape[0], width + values.shape[1]), dtype=object)
-        cells[:, :width] = labels
-        cells[:, width:] = values
-        values, fmt = cells, ["%s"] * width + fmt
-    row_fmt = ",".join(fmt) + "\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, values.shape[0], _CSV_BLOCK_ROWS):
-            block = values[start:start + _CSV_BLOCK_ROWS]
-            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ from .linalg import as_floats
 # Bound on each root's componentwise backward error |p(r)| / sum_k |c_k| |r|^k:
 # the relative change of the coefficients that would make r an exact root.
 ROOT_BACKWARD_ERROR = 1e-12
-_CONJ_SNAP_RTOL = 1e-8
+# Relative tolerance of conjugate symmetry: a root within it of the real axis
+# is real, and two roots within it of each other's conjugate are a pair.
+_CONJ_RTOL = 1e-8
 
 
 def trim(coeffs) -> np.ndarray:
@@ -38,18 +40,21 @@ def trim(coeffs) -> np.ndarray:
 
 def _pair_conjugates(roots):
     """Yield, in the given order, ``(re, 0.0)`` for a root with ``|im|`` at
-    most ``_CONJ_SNAP_RTOL`` of its modulus, ``(re, im)``, ``im > 0``, for a
-    root and its nearest conjugate averaged into ``re ± j im``, and
-    ``(root, None)`` for a complex root left without a partner."""
+    most ``_CONJ_RTOL`` of its modulus, ``(re, im)``, ``im > 0``, for a root
+    and the remaining root nearest its conjugate, when that lies within
+    ``_CONJ_RTOL`` of the modulus, averaged into ``re ± j im``, and
+    ``(root, None)`` for a complex root left without such a partner."""
     remaining = list(roots)
     while remaining:
         r = remaining.pop(0)
-        if abs(r.imag) <= _CONJ_SNAP_RTOL * abs(r):
+        if abs(r.imag) <= _CONJ_RTOL * abs(r):
             yield r.real, 0.0
-        elif not remaining:
+            continue
+        gaps = [abs(o - r.conjugate()) for o in remaining]
+        if not gaps or min(gaps) > _CONJ_RTOL * abs(r):
             yield r, None
         else:
-            other = remaining.pop(int(np.argmin([abs(o - r.conjugate()) for o in remaining])))
+            other = remaining.pop(int(np.argmin(gaps)))
             yield 0.5 * (r.real + other.real), 0.5 * (abs(r.imag) + abs(other.imag))
 
 

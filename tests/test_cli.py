@@ -27,6 +27,7 @@ from flexjoint.cli import (
     write_csv,
 )
 from flexjoint.config import parse_config
+from flexjoint.csvfmt import _BLOCK_CELLS
 
 FAST_SIM = """
 [plant]
@@ -359,9 +360,10 @@ def test_write_csv_number_format(tmp_path):
 @given(seed=st.integers(0, 2**32 - 1), cols=st.integers(0, 6), width=st.integers(0, 2),
        as_list=st.booleans())
 def test_write_csv_matches_per_cell_format(tmp_path_factory, seed, cols, width, as_list):
-    # 4,097 rows cross a 4,096-row block; the reference formats one cell at a time
+    # blocks hold at most _BLOCK_CELLS cells of whole rows, so these rows
+    # cross block boundaries at every width; the reference formats one cell at a time
     rng = np.random.default_rng(seed)
-    rows = 4097
+    rows = 2 * _BLOCK_CELLS + 1
     values = rng.integers(0, 2**64, (rows, cols), dtype=np.uint64, endpoint=False).view(float)
     special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -1e-310,
                         2.2250738585072009e-308, 1.7976931348623157e308])

@@ -67,13 +67,17 @@ def test_small_conjugate_pair_stays_complex():
     assert np.sort(roots.imag) == pytest.approx([-1e-9, 1e-9], rel=1e-12)
 
 
+def test_conjugate_within_tolerance_is_paired():
+    c = poly_from_roots([2.0 + 3.0j, -1.0, 2.0 - (3.0 + 1e-9) * 1j])
+    assert c == pytest.approx([13.0, 9.0, -3.0, 1.0], rel=1e-9)
+
+
 @pytest.mark.parametrize("roots", [
-    [1.0 + 1.0j], [1.0 + 1.0j, 1.0 - 1.0j, 5.0j],
-    pytest.param([-1.0, 2.0 - 3.0j, -4.0], marks=pytest.mark.xfail(
-        strict=True, reason="a complex root is paired with the root nearest its conjugate, "
-                            "however far; only a root left last raises")),
+    [1.0 + 1.0j], [1.0 + 1.0j, 1.0 - 1.0j, 5.0j], [-1.0, 2.0 - 3.0j, -4.0],
+    [2.0 + 3.0j, 2.0 - 3.0000001j],
 ])
 def test_unpaired_complex_root_is_rejected(roots):
+    # a partner further than _CONJ_RTOL |r| from the conjugate is none
     with pytest.raises(ValidationError, match="unpaired complex root"):
         poly_from_roots(roots)
 
