@@ -192,11 +192,14 @@ def write_csv(path: Path, header: list[str], values, labels=None) -> None:
         if not cols:
             fh.write("".join(",".join(map(str, row)) + "\n" for row in labels).encode())
             return
-        if labels is not None:
-            texts = [",".join([*map(str, row), ""]).encode() for row in labels]
+        if labels is not None:                           # each distinct prefix built once
+            distinct = {}
+            codes = [distinct.setdefault(tuple(row), len(distinct)) for row in labels]
+            texts = [",".join([*map(str, row), ""]).encode() for row in distinct]
             prefix = np.array(texts, dtype=bytes)
-            prefix = prefix.view(np.uint8).reshape(rows, prefix.itemsize)
+            prefix = prefix.view(np.uint8).reshape(len(texts), prefix.itemsize)
             prefix_keep = np.arange(prefix.shape[1]) < np.array([len(t) for t in texts])[:, None]
+            prefix, prefix_keep = prefix[codes], prefix_keep[codes]
         template = np.frombuffer(_LAYOUT * cols, np.uint8).reshape(cols, -1).copy()
         template[-1, -1] = ord("\n")
         blocks = -(-rows * cols // _BLOCK_CELLS) or 1        # of equal size, to reuse memory

@@ -30,7 +30,7 @@ from flexjoint import (
     synthesize_gains,
     target_admittance,
 )
-from flexjoint.lti import evaluate
+from flexjoint.lti import _modal_response, evaluate
 from flexjoint.poly import aberth_roots
 
 PAPER_TARGET = TargetImpedance(1, 3.0, 10.0, 100.0)
@@ -48,6 +48,45 @@ def per_point_response(ss, svals):
         else:
             out[i] = ss.C[0] @ x + ss.Dmat[0, 0]
     return out
+
+
+def refined_response(ss, svals):
+    """Reference resolvent of a SISO system: per-point LU and three steps of
+    iterative refinement, with residuals and the output in long double."""
+    A, b, c = (np.asarray(m, np.longdouble) for m in (ss.A, ss.B[:, 0], ss.C[0]))
+    out = np.empty(len(svals), dtype=complex)
+    for i, s in enumerate(svals):
+        Z = s * np.eye(ss.n_states) - ss.A
+        x = np.linalg.solve(Z, ss.B[:, 0]).astype(np.clongdouble)
+        for _ in range(3):
+            r = b - (np.clongdouble(s) * x - A @ x)
+            x += np.linalg.solve(Z, r.astype(complex))
+        out[i] = complex(c @ x + ss.Dmat[0, 0])
+    return out
+
+
+def traced_peak(fn, *args):
+    """Peak traced memory of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def siso(ss):
+    """The first input/output pair of a state-space system."""
+    return StateSpace(ss.A, ss.B[:, :1], ss.C[:1], ss.Dmat[:1, :1])
+
+
+def shaped_siso(rng, n, outer):
+    """A random shaped loop of ``n`` joints, with a random outer loop or none."""
+    plant = rand_plant(rng, n)
+    _, sp = synthesize_gains(plant, *rand_admissible_shaping(rng, plant))
+    loop = (OuterLoop(np.diag(rng.uniform(10.0, 200.0, n)), np.diag(rng.uniform(1.0, 20.0, n)))
+            if outer else None)
+    return siso(assemble_closed_loop(plant, sp, loop))
 
 
 def open_loop_matrix(plant):
@@ -304,14 +343,18 @@ class TestFreqResponse:
         assert out[1] == -1j
 
     def test_state_space_exact_pole_past_first_block(self):
-        # 1/s on 200 points: the pole at point 130 sits in a later block of
-        # the stacked solve; only it reads inf, the rest match a per-point solve
+        # 1/s on 2,000 points: the pole at point 1,500 sits in a later block
+        # of the modal solve.  It reads inf, and the other points are exactly
+        # those of the grid without it, within 1e-12 of a per-point solve
         ss = StateSpace([[0.0]], [[1.0]], [[1.0]], [[0.0]])
-        s = 1j * np.logspace(-2, 2, 200)
-        s[130] = 0.0
+        s = 1j * np.logspace(-2, 2, 2000)
+        s[1500] = 0.0
         out = evaluate(ss, s)
-        assert np.isinf(out[130])
-        assert np.array_equal(np.delete(out, 130), np.delete(per_point_response(ss, s), 130))
+        assert np.isinf(out[1500])
+        rest = np.delete(out, 1500)
+        assert np.array_equal(rest, evaluate(ss, np.delete(s, 1500)))
+        want = np.delete(per_point_response(ss, s), 1500)
+        assert np.all(np.abs(rest - want) <= 1e-12 * np.abs(want))
 
     @pytest.mark.parametrize("shape", [(), (4,), (2, 2), (3, 2), (2, 3, 1), (0,), (2, 0)], ids=str)
     def test_state_space_keeps_point_shape(self, shape):
@@ -343,13 +386,56 @@ class TestFreqResponse:
         A = rng.normal(size=(16, 16))
         ss = StateSpace(A, rng.normal(size=(16, 1)), rng.normal(size=(1, 16)), [[0.0]])
         s = 1j * np.logspace(-2, 4, 20000)
-        tracemalloc.start()
-        try:
-            evaluate(ss, s)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert traced_peak(evaluate, ss, s) < 4 * 2**20
+
+    def test_uncertified_memory_is_bounded_by_the_block(self):
+        # the same with A one 16-state Jordan block, which sends every point
+        # to the stacked LU
+        rng = np.random.default_rng(0)
+        ss = StateSpace(np.eye(16, k=1), rng.normal(size=(16, 1)), rng.normal(size=(1, 16)),
+                        [[0.0]])
+        s = 1j * np.logspace(-2, 4, 20000)
+        assert not np.any(_modal_response(ss, s)[1])
+        assert traced_peak(evaluate, ss, s) < 4 * 2**20
+
+    def test_state_space_is_as_accurate_as_refined_solve(self):
+        # against per-point LU with three refinement steps whose residuals are
+        # taken in long double; a plain LU solve misses 2e-14 on these loops
+        rng = np.random.default_rng(5)
+        w = 1j * np.logspace(-2, 3, 400)
+        for n in (1, 2, 3, 4) * 3:
+            ss = shaped_siso(rng, n, outer=True)
+            want = refined_response(ss, w)
+            assert np.max(np.abs(evaluate(ss, w) - want) / np.abs(want)) <= 2e-14
+
+    def test_certificate_is_componentwise(self):
+        # a companion realization of (s + 1)(s + 1.01)(s + 1.02)(s + 1.03):
+        # at high frequency its output x_0 is far below ||x||, and modal
+        # results off by 3e-11 meet a normwise bound; the componentwise
+        # bound sends them to LU
+        A = np.eye(4, k=1)
+        A[-1] = -np.poly([-1.0, -1.01, -1.02, -1.03])[:0:-1]
+        ss = StateSpace(A, [[0.0], [0.0], [0.0], [1.0]], [[1.0, 0.0, 0.0, 0.0]], [[0.0]])
+        w = 1j * np.logspace(-2, 3, 400)
+        want = refined_response(ss, w)
+        assert np.max(np.abs(evaluate(ss, w) - want) / np.abs(want)) <= 2e-14
+
+    def test_uncertified_loops_match_per_point_solve(self, paper_plant):
+        # without an outer loop the rigid-body double pole at the origin makes
+        # A defective, so the modal solve is not certified there
+        w = 1j * np.logspace(-2, 3, 400)
+        for ss in (siso(assemble_closed_loop(paper_plant, recover_shaped(paper_plant, 0.5, 2.0))),
+                   shaped_siso(np.random.default_rng(9), 2, outer=False)):
+            want = per_point_response(ss, w)
+            assert np.all(np.abs(evaluate(ss, w) - want) <= 1e-12 * np.abs(want))
+
+    def test_outer_loop_designs_are_certified(self):
+        # a guard on speed: every point of these loops takes the modal solve
+        rng = np.random.default_rng(11)
+        w = 1j * np.logspace(-2, 3, 400)
+        for k in range(200):
+            ss = shaped_siso(rng, 1 + k % 4, outer=True)
+            assert np.all(_modal_response(ss, w)[1]), k
 
     def test_rejects_negative_frequency(self):
         from flexjoint import ValidationError
