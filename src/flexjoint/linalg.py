@@ -79,22 +79,48 @@ def symmetry_error(a: np.ndarray) -> float:
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix.
+    """Lower Cholesky factor of a symmetric positive definite matrix, or of
+    each member of a stack ``(k, m, m)``.
 
     Raises ValueError when any pivot ``L[k, k]^2`` falls below
-    ``SPD_PIVOT_RTOL * ||a||_inf``, or when LAPACK meets a nonpositive one.
+    ``SPD_PIVOT_RTOL * ||a||_inf`` of its own matrix, or when LAPACK meets a
+    nonpositive one; for a stack, the message names the first member that
+    fails.
     """
-    norm = float(np.max(np.abs(a))) if a.size else 0.0
+    if a.ndim > 2:
+        return _cholesky_stack(a)
+    norm = float(np.abs(a).max()) if a.size else 0.0
     thresh = SPD_PIVOT_RTOL * max(norm, np.finfo(float).tiny)
     try:
         L = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise ValueError(f"nonpositive pivot, threshold {thresh:.3e}") from None
-    pivots = np.diagonal(L) ** 2
-    low = np.flatnonzero(pivots < thresh)
-    if low.size:
-        k = int(low[0])
+    pivots = L.diagonal() ** 2
+    low = pivots < thresh
+    if low.any():
+        k = int(low.argmax())
         raise ValueError(f"pivot {pivots[k]:.3e} below threshold {thresh:.3e} at index {k}")
+    return L
+
+
+def _cholesky_stack(a: np.ndarray) -> np.ndarray:
+    """``cholesky_lower`` of each member of a stack, by one LAPACK call; when
+    that call or a pivot fails, the members are checked one by one, and the
+    ValueError names the first that fails, also as its ``member``."""
+    thresh = SPD_PIVOT_RTOL * np.maximum(np.abs(a).max(axis=(1, 2), initial=0.0),
+                                         np.finfo(float).tiny)
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is None or (L.diagonal(axis1=1, axis2=2) ** 2 < thresh[:, None]).any():
+        for j, member in enumerate(a):
+            try:
+                cholesky_lower(member)
+            except ValueError as exc:
+                err = ValueError(f"member {j}: {exc}")
+                err.member = j
+                raise err from None
     return L
 
 
@@ -146,16 +172,20 @@ def quad_form(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.vecdot(v, v @ a.T)
 
 
-def pencil_max_frequency(stiffness: np.ndarray, mass: np.ndarray) -> float:
-    """Largest undamped natural frequency of (stiffness, mass), in rad/s.
+def pencil_max_frequency(stiffness: np.ndarray, mass: np.ndarray):
+    """Largest undamped natural frequency of (stiffness, mass), in rad/s; for
+    stacks ``(k, m, m)`` of both, the array of each member's frequency, from
+    one Cholesky factorization, two solves and one ``eigvalsh``.
 
     Solves the generalized symmetric eigenproblem by Cholesky reduction of
     the mass matrix; the result is sqrt(max eigenvalue), clipped at zero.
     """
-    L = cholesky_lower(0.5 * (mass + mass.T))
+    L = cholesky_lower(0.5 * (mass + mass.mT))
     # B = L^-1 K L^-T, symmetric, same spectrum as the pencil
-    y = np.linalg.solve(L, 0.5 * (stiffness + stiffness.T))
-    B = np.linalg.solve(L, y.T).T
-    w = np.linalg.eigvalsh(0.5 * (B + B.T))
+    y = np.linalg.solve(L, 0.5 * (stiffness + stiffness.mT))
+    B = np.linalg.solve(L, y.mT).mT
+    w = np.linalg.eigvalsh(0.5 * (B + B.mT))
+    if w.ndim > 1:
+        return np.sqrt(np.maximum(w[:, -1], 0.0))
     wmax = float(w[-1]) if w.size else 0.0
     return float(np.sqrt(max(wmax, 0.0)))

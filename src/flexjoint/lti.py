@@ -6,7 +6,8 @@ mass-spring-damper environment), exact 1-DOF admittances, transfer
 functions from state space via the Faddeev-LeVerrier recursion (algebra
 whose only tolerances are in ``_clean_coeffs``: roots are found by
 ``poles_zeros`` and ``positive_real_check``), frequency responses, pole/zero
-extraction, and a grid-based positive-real check.
+extraction, and a grid-based positive-real check.  A ``RationalTF`` finds
+its denominator's roots once, on first use, and both of those read them.
 
 The state-space frequency response is certified point by point: a modal
 solve with one refinement step is kept where its componentwise backward
@@ -31,6 +32,7 @@ naming in mind when reading parameter tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -99,6 +101,7 @@ class RationalTF:
 
     ``cancelled`` records the common power of s stripped, as roots at the
     origin, when the function was converted from a state-space realization.
+    The denominator's roots are found once, on first use, and kept read-only.
     """
 
     num: np.ndarray
@@ -113,6 +116,13 @@ class RationalTF:
         if not np.any(self.den):
             raise ValidationError("denominator is identically zero")
         object.__setattr__(self, "cancelled", tuple(self.cancelled))
+
+    @cached_property
+    def _poles(self) -> np.ndarray:
+        # a RootFindingError propagates and leaves nothing cached
+        poles = aberth_roots(self.den)
+        poles.setflags(write=False)
+        return poles
 
 
 @dataclass(frozen=True)
@@ -502,8 +512,9 @@ def freq_response(sys, omegas):
 
 
 def poles_zeros(tf: RationalTF):
-    """Poles and zeros; conjugate symmetry is exact for real systems."""
-    return aberth_roots(tf.den), aberth_roots(tf.num)
+    """Poles and zeros; conjugate symmetry is exact for real systems.  The
+    poles are a copy of those the function keeps."""
+    return tf._poles.copy(), aberth_roots(tf.num)
 
 
 def _residue_at_simple_pole(tf: RationalTF, pole: complex) -> complex:
@@ -528,7 +539,7 @@ def positive_real_check(tf: RationalTF, grid=None) -> PassivityVerdict:
     if grid.size == 0:
         raise ValidationError("frequency grid is empty")
 
-    poles = aberth_roots(tf.den)     # the zeros play no part in the verdict
+    poles = tf._poles       # the zeros play no part in the verdict
     tight, loose = 1e-9, 1e-6
     marginal = None
     for pole in sorted(poles, key=lambda v: (-v.real, abs(v.imag))):

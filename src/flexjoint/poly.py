@@ -7,7 +7,10 @@ exact zeros.  This module adds real products of conjugate pairs and a
 certified root finder: Aberth-Ehrlich iteration started from the
 companion-matrix eigenvalues of the frequency-scaled polynomial, roots
 snapped into exact conjugate pairs, and a backward-error certificate on
-every root.
+every root, with one restart from the Newton polygon when it fails.  Each
+Aberth step evaluates p and p' by one Horner recurrence on a two-row
+coefficient stack, and the certificate's two sums share one pass: the
+floating-point operations of ``P.polyval``, so the roots have its bits.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ def _pair_conjugates(roots):
     most ``_CONJ_RTOL`` of its modulus, ``(re, im)``, ``im > 0``, for a root
     and the remaining root nearest its conjugate, when that lies within
     ``_CONJ_RTOL`` of the modulus, averaged into ``re ± j im``, and
-    ``(root, None)`` for a complex root left without such a partner."""
+    ``(root, None)`` for a complex root left without such a partner.  The
+    roots are Python ``complex`` numbers."""
     remaining = list(roots)
     while remaining:
         r = remaining.pop(0)
@@ -54,7 +58,7 @@ def _pair_conjugates(roots):
         if not gaps or min(gaps) > _CONJ_RTOL * abs(r):
             yield r, None
         else:
-            other = remaining.pop(int(np.argmin(gaps)))
+            other = remaining.pop(gaps.index(min(gaps)))
             yield 0.5 * (r.real + other.real), 0.5 * (abs(r.imag) + abs(other.imag))
 
 
@@ -63,18 +67,29 @@ def poly_from_roots(roots, leading: float = 1.0) -> np.ndarray:
     as real quadratics so no imaginary residue leaks into the coefficients.
     A complex root without a conjugate partner raises ``ValidationError``."""
     out = np.array([float(leading)])
-    for re, im in _pair_conjugates(np.asarray(roots, dtype=complex)):
+    for re, im in _pair_conjugates(np.asarray(roots, dtype=complex).tolist()):
         if im is None:
             raise ValidationError(f"unpaired complex root {re}")
         out = P.polymul(out, [-re, 1.0] if im == 0.0 else [re * re + im * im, -2.0 * re, 1.0])
     return out
 
 
+def _horner(c: np.ndarray, x, v: np.ndarray) -> np.ndarray:
+    """Horner's recurrence ``v = c[:, k] + v * x`` from ``v``, over the
+    columns of ``c`` from the last to the first: the operations of
+    ``P.polyval``, which starts from ``c[-1] + x * 0``, on each row at once."""
+    for k in range(c.shape[1] - 1, -1, -1):
+        v = c[:, k:k + 1] + v * x
+    return v
+
+
 def _aberth_iterate(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    dc = P.polyder(c)
+    # p' has the coefficients k c_k, as P.polyder computes them; after p's
+    # first step, p and p' have equally many steps left, taken together
+    dc = c[1:] * np.arange(1, c.size)
+    rest = np.array([c[:-2], dc[:-1]])
     for _ in range(400):        # the iteration budget
-        p = P.polyval(z, c)
-        dp = P.polyval(z, dc)
+        p, dp = _horner(rest, z, np.array([c[-2] + (c[-1] + z * 0) * z, dc[-1] + z * 0]))
         dp = np.where(dp == 0.0, np.finfo(float).eps, dp)
         w = p / dp
         diff = z[:, None] - z[None, :]
@@ -84,12 +99,12 @@ def _aberth_iterate(c: np.ndarray, z: np.ndarray) -> np.ndarray:
         denom = np.where(denom == 0.0, np.finfo(float).eps, denom)
         step = w / denom
         z = z - step
-        if np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(z))):
+        if (np.abs(step) <= 1e-14 * (1.0 + np.abs(z))).all():
             break
     return z
 
 
-def _enforce_conjugates(roots: np.ndarray) -> np.ndarray:
+def _enforce_conjugates(roots: list) -> np.ndarray:
     """Pair roots of a real polynomial into exact conjugates; a complex root
     without a partner keeps its real part."""
     out = []
@@ -98,6 +113,38 @@ def _enforce_conjugates(roots: np.ndarray) -> np.ndarray:
             re, im = re.real, 0.0
         out.extend([complex(re, im), complex(re, -im)] if im else [complex(re, 0.0)])
     return np.array(sorted(out, key=lambda r: (r.real, r.imag)), dtype=complex)
+
+
+def _polygon_starts(c: np.ndarray) -> np.ndarray:
+    """Aberth starts from the Newton polygon of ``c`` (Bini, Numer.
+    Algorithms 13, 1996): for each edge (i, j) of the upper convex hull of
+    the points (k, log|c_k|), j - i points on the circle of radius
+    (|c_i| / |c_j|)^(1/(j - i)), turned off the real axis."""
+    k = np.flatnonzero(c)
+    y = np.log(np.abs(c[k]))
+    hull = []
+    for i in range(k.size):
+        # drop the last vertex while it lies on or below the chord to point i
+        while len(hull) >= 2 and ((k[hull[-1]] - k[hull[-2]]) * (y[i] - y[hull[-2]])
+                                  >= (y[hull[-1]] - y[hull[-2]]) * (k[i] - k[hull[-2]])):
+            hull.pop()
+        hull.append(i)
+    starts = []
+    for a, b in zip(hull, hull[1:]):
+        m = int(k[b] - k[a])
+        radius = np.exp((y[a] - y[b]) / m)
+        starts.append(radius * np.exp(1j * (2.0 * np.pi * np.arange(m) / m + 0.7 + len(starts))))
+    return np.concatenate(starts)
+
+
+def _certify(roots: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Each root's backward error ``|p(r)| / sum_k |c_k| |r|^k``, both sums in
+    one Horner pass; 0 where the denominator is 0."""
+    coeffs = np.array([c, np.abs(c)])
+    x = np.array([roots, np.abs(roots)])
+    residual, scale = _horner(coeffs[:, :-1], x, coeffs[:, -1:] + x * 0)
+    residual, scale = np.abs(residual), scale.real
+    return np.divide(residual, scale, out=np.zeros_like(residual), where=scale != 0.0)
 
 
 def aberth_roots(coeffs) -> np.ndarray:
@@ -110,28 +157,28 @@ def aberth_roots(coeffs) -> np.ndarray:
     ``(|c_0| / |c_d|)^(1/d)``, a scaling without rounding: companion-matrix
     eigenvalues (``numpy.polynomial.polynomial.polyroots``) refined by
     Aberth-Ehrlich iteration.  Each root ``r`` is certified on the unscaled
-    coefficients by its backward error ``|p(r)| / sum_k |c_k| |r|^k``; any
-    above ``ROOT_BACKWARD_ERROR``, or not a number, raises
-    ``RootFindingError`` carrying the backward errors.
+    coefficients by its backward error ``|p(r)| / sum_k |c_k| |r|^k``.  When
+    any is above ``ROOT_BACKWARD_ERROR``, or not a number, the iteration
+    restarts once from the Newton polygon's circles (``_polygon_starts``),
+    which separate roots spread over many decades that the companion
+    eigenvalues put on one point; if that fails too, ``RootFindingError``
+    carries its backward errors.
     """
     c_full = trim(coeffs)
     zeros_at_origin = int(np.argmax(c_full != 0.0))     # 0 for the zero polynomial
     c = c_full[zeros_at_origin:]
-    roots = [0.0 + 0.0j] * zeros_at_origin
+    if c.size == 1:
+        return np.zeros(zeros_at_origin, dtype=complex)
 
-    if c.size > 1:
-        e = int(np.rint((np.log2(abs(c[0])) - np.log2(abs(c[-1]))) / (c.size - 1)))
-        shift = e * np.arange(c.size)
-        cw = np.ldexp(c, shift - np.max((np.frexp(c)[1] + shift)[c != 0]))   # largest in [0.5, 1)
-        z = _aberth_iterate(cw, P.polyroots(cw).astype(complex))
-        roots.extend(complex(v) for v in z * 2.0 ** e)
-
-    out = _enforce_conjugates(np.array(roots, dtype=complex))
-    residuals = np.abs(P.polyval(out, c_full))
-    scale = P.polyval(np.abs(out), np.abs(c_full))
-    backward = np.divide(residuals, scale, out=np.zeros_like(residuals), where=scale != 0.0)
-    if not np.all(backward <= ROOT_BACKWARD_ERROR):
-        raise RootFindingError(
-            f"root backward error {float(np.max(backward)):.3e} exceeds "
-            f"{ROOT_BACKWARD_ERROR:.0e}", residuals=backward)
-    return out
+    e = int(np.rint((np.log2(abs(c[0])) - np.log2(abs(c[-1]))) / (c.size - 1)))
+    shift = e * np.arange(c.size)
+    cw = np.ldexp(c, shift - np.max((np.frexp(c)[1] + shift)[c != 0]))   # largest in [0.5, 1)
+    for starts in (lambda: P.polyroots(cw).astype(complex), lambda: _polygon_starts(cw)):
+        z = _aberth_iterate(cw, starts())
+        out = _enforce_conjugates([0j] * zeros_at_origin + (z * 2.0 ** e).tolist())
+        backward = _certify(out, c_full)
+        if np.all(backward <= ROOT_BACKWARD_ERROR):
+            return out
+    raise RootFindingError(
+        f"root backward error {float(np.max(backward)):.3e} exceeds "
+        f"{ROOT_BACKWARD_ERROR:.0e}", residuals=backward)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .control import (
     outer_law,
     recover_shaped,
 )
-from .errors import DivergenceError, ValidationError
+from .errors import DegenerateModelError, DivergenceError, ValidationError
 from .linalg import as_matrix, as_vector, matvec, pencil_max_frequency, quad_form
 from .lti import EnvironmentImpedance
 from .model import (
@@ -221,6 +222,12 @@ class _Resolved:
     cap: float                      # the stability cap on the step
 
 
+@cache
+def _zero_state(n: int) -> OpenLoopState:
+    """The rest state of an n-joint plant, built once: states are immutable."""
+    return OpenLoopState.zero(n)
+
+
 def _resolve(sc: Scenario, need_controller: bool = False) -> _Resolved:
     """Validate a scenario's parts and resolve its controller; the step is
     left to ``_step``."""
@@ -228,7 +235,7 @@ def _resolve(sc: Scenario, need_controller: bool = False) -> _Resolved:
         raise ValidationError(f"unsupported controller type {type(sc.controller).__name__}")
     model = as_model(sc.plant, sc.x0, sc.controller, sc.outer, sc.environment)
     n = model.n
-    x0 = sc.x0 if sc.x0 is not None else OpenLoopState.zero(n)
+    x0 = sc.x0 if sc.x0 is not None else _zero_state(n)
     sc.input.require_joint(n)
 
     if sc.controller is None:
@@ -279,24 +286,33 @@ def stability_dt_cap(sc: Scenario) -> float:
 
 def _dt_cap(model: NonlinearRobotModel, q0: np.ndarray, shaped: ShapedParams | None,
             sc: Scenario) -> float:
+    """1/(20 w_max) over the open pencil and, with a controller, the shaped
+    one: both written into one stack, so that one Cholesky factorization,
+    two solves and one ``eigvalsh`` give both frequencies."""
     n = model.n
     Mq = model.mass_of(q0)
-    Z = np.zeros((n, n))
-
-    def pencil(mass_blocks, stiff):
-        mass = np.block([[mass_blocks[0], Z], [Z, mass_blocks[1]]])
-        return pencil_max_frequency(stiff, mass)
-
-    stiff_open = np.block([[model.K, -model.K], [-model.K, model.K]])
-    wmax = pencil((Mq, model.J), stiff_open)
-
+    # each pencil: coupling stiffness, link and motor stiffness, link and
+    # motor mass, and the name of its mass matrix
+    pencils = [(model.K, model.K, model.K, Mq, model.J, "blkdiag(M(q0), J)")]
     if shaped is not None:
-        Kq = shaped.K_e + (sc.environment.K_h if sc.environment is not None else Z)
-        Kp = shaped.K_e + (sc.outer.K_phi if sc.outer is not None else Z)
-        Mlink = Mq + (sc.environment.M_h if sc.environment is not None else Z)
-        stiff_shaped = np.block([[Kq, -shaped.K_e], [-shaped.K_e, Kp]])
-        wmax = max(wmax, pencil((Mlink, shaped.J_e), stiff_shaped))
-
+        env, outer = sc.environment, sc.outer
+        K_h, M_h = (env.K_h, env.M_h) if env is not None else (0.0, 0.0)
+        pencils.append((shaped.K_e, shaped.K_e + K_h,
+                        shaped.K_e + (outer.K_phi if outer is not None else 0.0),
+                        Mq + M_h, shaped.J_e,
+                        f"blkdiag(M(q0){' + M_h' if env is not None else ''}, J_e)"))
+    stiff = np.zeros((len(pencils), 2 * n, 2 * n))
+    mass = np.zeros_like(stiff)
+    for j, (K, K_link, K_motor, M_link, J_motor, _) in enumerate(pencils):
+        stiff[j, :n, :n], stiff[j, :n, n:], stiff[j, n:, :n], stiff[j, n:, n:] = \
+            K_link, -K, -K, K_motor
+        mass[j, :n, :n], mass[j, n:, n:] = M_link, J_motor
+    try:
+        wmax = float(np.max(pencil_max_frequency(stiff, mass)))
+    except ValueError as exc:
+        raise DegenerateModelError(
+            f"stability cap: mass matrix {pencils[exc.member][-1]} is not positive definite "
+            f"at q0={q0.tolist()} ({exc})") from None
     # K is SPD, so the open pencil always has a positive frequency
     return 1.0 / (STABILITY_MARGIN * wmax)
 

@@ -459,6 +459,45 @@ class TestPolesZeros:
             assert {(r.real, r.imag) for r in roots} == {(r.real, -r.imag) for r in roots}
 
 
+    def test_poles_are_found_once_per_transfer_function(self, paper_plant, monkeypatch):
+        from flexjoint import lti
+        calls = []
+
+        def counted(coeffs):
+            calls.append(coeffs)
+            return aberth_roots(coeffs)
+
+        monkeypatch.setattr(lti, "aberth_roots", counted)
+        ss = assemble_closed_loop(paper_plant, recover_shaped(paper_plant, 0.9, 4.0), OUTER)
+        tf = ss_to_tf(ss)
+        poles, _ = poles_zeros(tf)
+        verdict = positive_real_check(tf)
+        assert len(calls) == 2 and verdict.verdict == "passive"
+        # the returned poles are a copy: writing over them changes no verdict
+        poles[:] = 1.0
+        assert positive_real_check(tf) == verdict
+        assert np.array_equal(poles_zeros(tf)[0], aberth_roots(tf.den))
+        assert len(calls) == 3
+        fresh = ss_to_tf(ss)
+        poles_zeros(fresh)
+        positive_real_check(fresh)
+        assert len(calls) == 5
+
+    def test_failed_root_finding_is_not_kept(self, monkeypatch):
+        from flexjoint import RootFindingError, lti
+        tf = RationalTF([1.0], [1.0, 1.0])
+
+        def refuse(coeffs):
+            raise RootFindingError("refused")
+
+        monkeypatch.setattr(lti, "aberth_roots", refuse)
+        for _ in range(2):
+            with pytest.raises(RootFindingError):
+                positive_real_check(tf)
+        monkeypatch.setattr(lti, "aberth_roots", aberth_roots)
+        assert positive_real_check(tf).verdict == "passive"
+
+
 class TestPositiveReal:
     def test_canonical_lag_is_passive(self):
         assert positive_real_check(RationalTF([1.0], [1.0, 1.0])).verdict == "passive"

@@ -31,32 +31,58 @@ def test_tiny_leading_coefficient_keeps_its_root():
     assert RationalTF([1.0], [1.0, 2.0, 1e-20]).den.tolist() == [1.0, 2.0, 1e-20]
 
 
-@pytest.mark.parametrize("seed", [36, 37, 38])
-def test_root_count_is_the_exact_degree(seed):
-    # coefficient magnitudes graded by up to 1e21 from one end to the other,
-    # as in the stationary polynomials of the shaped loops, a quarter of them
-    # with the leading coefficient at 1e-20 of the largest; trailing exact
-    # zeros do not count toward the degree
+def _graded_polynomials(seed):
+    """200 polynomials with coefficient magnitudes graded by up to 1e21 from
+    one end to the other, as in the stationary polynomials of the shaped
+    loops, a quarter of them with the leading coefficient at 1e-20 of the
+    largest, each followed by two trailing exact zeros."""
     rng = np.random.default_rng(seed)
+    out = []
     for _ in range(200):
         deg = int(rng.integers(1, 13))
         grade = rng.uniform(0.0, 21.0) * rng.choice([-1.0, 1.0]) * np.arange(deg + 1) / deg
         c = rng.normal(0.0, 1.0, deg + 1) * 10.0 ** (grade + rng.uniform(-1.0, 1.0, deg + 1))
         if rng.random() < 0.25:
             c[-1] = rng.choice([-1e-20, 1e-20]) * np.max(np.abs(c))
-        roots = aberth_roots(np.r_[c, 0.0, 0.0])
-        assert roots.size == deg
+        out.append(np.r_[c, 0.0, 0.0])
+    return out
+
+
+@pytest.mark.parametrize("seed", [36, 37, 38])
+def test_root_count_is_the_exact_degree(seed):
+    # trailing exact zeros do not count toward the degree
+    for padded in _graded_polynomials(seed):
+        c = padded[:-2]
+        roots = aberth_roots(padded)
+        assert roots.size == c.size - 1
         backward = np.abs(P.polyval(roots, c)) / P.polyval(np.abs(roots), np.abs(c))
         assert np.max(backward) <= ROOT_BACKWARD_ERROR
 
 
-@pytest.mark.xfail(strict=True, raises=RootFindingError,
-                   reason="the companion eigenvalues put both small roots at 0, 24 decades "
-                          "below the large one, and coincident starts never separate")
 def test_roots_spread_over_24_decades():
-    # roots 1e20 and +-9.9e-5 j
-    assert aberth_roots([-6717729.5206011785, 1410.8660966928246,
-                         -589287196129443.1, 5.8928719612944305e-06]).size == 3
+    # roots 1e20 and +-1.07e-4 j: the companion eigenvalues put both small
+    # roots at 0, where coincident starts never separate, so only the
+    # restart from the Newton polygon finds them
+    roots = aberth_roots([-6717729.5206011785, 1410.8660966928246,
+                          -589287196129443.1, 5.8928719612944305e-06])
+    assert roots.size == 3
+    assert np.sort(np.abs(roots)) == pytest.approx([1.0677e-4, 1.0677e-4, 1e20], rel=1e-4)
+
+
+def test_independent_exponents_need_the_polygon_restart():
+    # 4,000 sets with coefficient exponents drawn independently over 21
+    # decades, a quarter with the leading coefficient at 1e-20 of the
+    # largest; companion starts alone leave 11 of them uncertified
+    rng = np.random.default_rng(40)
+    for _ in range(4000):
+        deg = int(rng.integers(1, 13))
+        c = rng.normal(0.0, 1.0, deg + 1) * 10.0 ** rng.uniform(0.0, 21.0, deg + 1)
+        if rng.random() < 0.25:
+            c[-1] = rng.choice([-1e-20, 1e-20]) * np.max(np.abs(c))
+        roots = aberth_roots(c)
+        assert roots.size == deg
+        backward = np.abs(P.polyval(roots, c)) / P.polyval(np.abs(roots), np.abs(c))
+        assert np.max(backward) <= ROOT_BACKWARD_ERROR
 
 
 def test_small_conjugate_pair_stays_complex():
@@ -168,7 +194,6 @@ def test_residual_contract():
 
 def test_moved_root_is_refused(monkeypatch):
     # a root 1e-6 relative off its true place has a backward error far above 1e-12
-    from flexjoint import RootFindingError
     from flexjoint import poly
     refine = poly._aberth_iterate
     monkeypatch.setattr(poly, "_aberth_iterate",
@@ -186,3 +211,98 @@ def test_widely_scaled_coefficients():
     assert np.min(np.abs(roots)) == 0.0
     fast = roots[np.argmax(np.abs(roots))]
     assert abs(fast) == pytest.approx(np.sqrt(3e5 / 0.15), rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the same bits as Aberth written with P.polyval and P.polyder
+# ---------------------------------------------------------------------------
+
+def _reference_pairs(roots):
+    remaining = list(roots)
+    while remaining:
+        r = remaining.pop(0)
+        if abs(r.imag) <= 1e-8 * abs(r):
+            yield r.real, 0.0
+            continue
+        gaps = [abs(o - r.conjugate()) for o in remaining]
+        if not gaps or min(gaps) > 1e-8 * abs(r):
+            yield r, None
+        else:
+            other = remaining.pop(int(np.argmin(gaps)))
+            yield 0.5 * (r.real + other.real), 0.5 * (abs(r.imag) + abs(other.imag))
+
+
+def reference_aberth_roots(coeffs):
+    """The root finder with one ``P.polyval`` call per value, ``P.polyder``
+    for the slope, and conjugates paired over numpy scalars; None when its
+    certificate fails."""
+    c_full = trim(coeffs)
+    zeros_at_origin = int(np.argmax(c_full != 0.0))
+    c = c_full[zeros_at_origin:]
+    roots = [0.0 + 0.0j] * zeros_at_origin
+    if c.size > 1:
+        e = int(np.rint((np.log2(abs(c[0])) - np.log2(abs(c[-1]))) / (c.size - 1)))
+        shift = e * np.arange(c.size)
+        cw = np.ldexp(c, shift - np.max((np.frexp(c)[1] + shift)[c != 0]))
+        z, dc = P.polyroots(cw).astype(complex), P.polyder(cw)
+        for _ in range(400):
+            p, dp = P.polyval(z, cw), P.polyval(z, dc)
+            w = p / np.where(dp == 0.0, np.finfo(float).eps, dp)
+            diff = z[:, None] - z[None, :]
+            repulsion = np.divide(1.0, diff, out=np.zeros_like(diff), where=diff != 0)
+            denom = 1.0 - w * np.sum(repulsion, axis=1)
+            step = w / np.where(denom == 0.0, np.finfo(float).eps, denom)
+            z = z - step
+            if np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(z))):
+                break
+        roots.extend(complex(v) for v in z * 2.0 ** e)
+    out = []
+    ordered = sorted(np.array(roots, dtype=complex), key=lambda r: (-abs(r.imag), r.real))
+    for re, im in _reference_pairs(ordered):
+        if im is None:
+            re, im = re.real, 0.0
+        out.extend([complex(re, im), complex(re, -im)] if im else [complex(re, 0.0)])
+    out = np.array(sorted(out, key=lambda r: (r.real, r.imag)), dtype=complex)
+    residuals = np.abs(P.polyval(out, c_full))
+    scale = P.polyval(np.abs(out), np.abs(c_full))
+    backward = np.divide(residuals, scale, out=np.zeros_like(residuals), where=scale != 0.0)
+    return out if np.all(backward <= ROOT_BACKWARD_ERROR) else None
+
+
+def _design_polynomials(seed, count):
+    """Numerators and denominators of ``count`` random n = 1..4 shaped loops
+    with an outer loop, drawn as the design-screening benchmark draws them."""
+    from conftest import rand_admissible_shaping, rand_plant
+    from flexjoint import OuterLoop, assemble_closed_loop, ss_to_tf, synthesize_gains
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        n = 1 + i % 4
+        plant = rand_plant(rng, n)
+        J_e, K_e = rand_admissible_shaping(rng, plant)
+        outer = OuterLoop(np.diag(rng.uniform(10.0, 200.0, n)), np.diag(rng.uniform(1.0, 20.0, n)))
+        tf = ss_to_tf(assemble_closed_loop(plant, synthesize_gains(plant, J_e, K_e)[1], outer))
+        out += [tf.num, tf.den]
+    return out
+
+
+def _paper_polynomials():
+    from flexjoint import ss_to_tf
+    from flexjoint.cli import ONEDOF_STUDY, _gain_study
+    from flexjoint.config import parse_config
+    target, loops = _gain_study(parse_config(ONEDOF_STUDY), "pzmap")
+    tfs = [target] + [ss_to_tf(ss) for _, _, ss in loops]
+    return [c for tf in tfs for c in (tf.num, tf.den)]
+
+
+@pytest.mark.parametrize("family", ["paper", "designs", "graded-36", "graded-37", "graded-38"])
+def test_roots_have_the_bits_of_the_reference(family):
+    if family == "paper":
+        polys = _paper_polynomials()
+    elif family == "designs":
+        polys = _design_polynomials(35, 100)
+    else:
+        polys = _graded_polynomials(int(family.split("-")[1]))
+    for c in polys:
+        expected = reference_aberth_roots(c)
+        assert expected is not None and np.array_equal(aberth_roots(c), expected)

@@ -8,6 +8,7 @@ import flexjoint.sim
 from conftest import rand_admissible_shaping, rand_plant, rand_spd
 from flexjoint import (
     ClosedLoopState,
+    DegenerateModelError,
     DivergenceError,
     EnvironmentImpedance,
     ImpedanceGains,
@@ -44,6 +45,7 @@ from flexjoint.config import (
     build_plant,
     parse_config,
 )
+from flexjoint.linalg import cholesky_lower, pencil_max_frequency
 
 
 class TestIntegrate:
@@ -97,6 +99,58 @@ class TestScenarioValidation:
                                              dt=1e-3)) == cap
             assert stability_dt_cap(Scenario(plant=paper_plant, controller=controller,
                                              T=1e-7)) == cap
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stacked_cap_matches_single_pencils(self, n):
+        # the cap from one stacked pencil solve has the bits of 1/(20 max)
+        # over the pencils solved one at a time
+        rng = np.random.default_rng(60 + n)
+        plant = rand_plant(rng, n)
+        J_e, K_e = rand_admissible_shaping(rng, plant)
+        _, sp = synthesize_gains(plant, J_e, K_e)
+        Z = np.zeros((n, n))
+        outer = OuterLoop(np.diag(rng.uniform(10.0, 200.0, n)), np.diag(rng.uniform(1.0, 20.0, n)))
+        env = EnvironmentImpedance(n, rand_spd(rng, n, 0.1, 1.0), rand_spd(rng, n, 0.1, 1.0),
+                                   1e2 * rand_spd(rng, n, 0.5, 2.0))
+        w_open = pencil_max_frequency(np.block([[plant.K, -plant.K], [-plant.K, plant.K]]),
+                                      np.block([[plant.M, Z], [Z, plant.J]]))
+        assert stability_dt_cap(Scenario(plant=plant)) == 1.0 / (20.0 * w_open)
+        for o in (None, outer):
+            for e in (None, env):
+                K_q = sp.K_e + (e.K_h if e is not None else Z)
+                K_p = sp.K_e + (o.K_phi if o is not None else Z)
+                M_link = plant.M + (e.M_h if e is not None else Z)
+                w_shaped = pencil_max_frequency(
+                    np.block([[K_q, -sp.K_e], [-sp.K_e, K_p]]),
+                    np.block([[M_link, Z], [Z, sp.J_e]]))
+                cap = stability_dt_cap(Scenario(plant=plant, controller=sp, outer=o,
+                                                environment=e))
+                assert cap == 1.0 / (20.0 * max(w_open, w_shaped))
+
+    def test_stacked_cholesky_names_the_failing_member(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.diag([1.0, 1e-14])])
+        with pytest.raises(ValueError, match="member 1: nonpositive pivot"):
+            cholesky_lower(stack)
+        with pytest.raises(ValueError, match="member 1: pivot 1.000e-14 below threshold"):
+            cholesky_lower(stack[[0, 2]])
+        np.testing.assert_array_equal(cholesky_lower(stack[[0, 0]]), np.stack([np.eye(2)] * 2))
+
+    @pytest.mark.parametrize("entry", ["cap", "simulate"])
+    def test_mass_the_cap_cannot_factor_is_degenerate(self, entry):
+        # M(q) = cos(q2) I has a pivot of 6.1e-17 at q2 = pi/2
+        model = NonlinearRobotModel(
+            n=2, mass_of=lambda q: np.cos(q[..., 1])[..., None, None] * np.eye(2),
+            dmass_of=lambda q: np.zeros(np.shape(q)[:-1] + (2, 2, 2)),
+            potential_of=lambda q: np.zeros(np.shape(q)[:-1]),
+            gravity_grad_of=lambda q: np.zeros(np.shape(q)),
+            J=np.eye(2), K=100.0 * np.eye(2), D=np.eye(2))
+        x0 = OpenLoopState.unpack(np.r_[0.0, 0.5 * np.pi, np.zeros(6)], 2)
+        sc = Scenario(plant=model, x0=x0, T=0.01)
+        run = stability_dt_cap if entry == "cap" else simulate_plant_with_controller
+        with pytest.raises(DegenerateModelError,
+                           match=r"mass matrix blkdiag\(M\(q0\), J\) is not positive definite "
+                                 r"at q0=\[0.0, 1.5707963267948966\]"):
+            run(sc)
 
     def test_too_coarse_dt_rejected(self, paper_plant):
         sc = Scenario(plant=paper_plant, T=1.0, dt=1e-3)
