@@ -57,6 +57,7 @@ from .errors import (
     FlexJointError,
 )
 from .lti import (
+    MAX_TF_STATES,
     assemble_closed_loop,
     freq_response,
     poles_zeros,
@@ -201,8 +202,8 @@ def run_bode(cfg: ExperimentConfig, outdir: Path, grid_points: int = 400):
 # ---------------------------------------------------------------------------
 
 def _dominant_pole(poles, skip_origin: bool = True) -> complex:
-    """Slowest upper-half-plane pole, ignoring rigid-body modes at the origin."""
-    cands = [p for p in poles if p.imag >= 0.0 and (not skip_origin or abs(p) > 1e-6)]
+    """Slowest upper-half-plane pole, ignoring rigid-body poles (exactly 0)."""
+    cands = [p for p in poles if p.imag >= 0.0 and (not skip_origin or p != 0.0)]
     if not cands:
         cands = [p for p in poles if p.imag >= 0.0]
     return min(cands, key=abs)
@@ -372,7 +373,7 @@ def run_verify(cfg: ExperimentConfig, seed: int = 0):
     scale = max(float(np.max(result.H)), 1e-12)
     checks.append(("passivity_audit", violation / scale, 1e-6))
 
-    if isinstance(plant, LinearRobotParams) and n == 1:
+    if isinstance(plant, LinearRobotParams) and 4 * n <= MAX_TF_STATES:
         ss = assemble_closed_loop(plant, shaped, outer)
         verdict = positive_real_check(ss_to_tf(ss))
         checks.append(("positive_real", 0.0 if verdict.verdict == "passive" else 1.0, 0.5))

@@ -3,11 +3,11 @@
 State-space assembly of every constant-mass chart (the plant under the
 control law, the shaped loop, and its interconnection with a
 mass-spring-damper environment), exact 1-DOF admittances, transfer
-functions from state space via the Faddeev-LeVerrier recursion (algebra
-whose only tolerances are in ``_clean_coeffs``: roots are found by
-``poles_zeros`` and ``positive_real_check``), frequency responses, pole/zero
-extraction, and a grid-based positive-real check.  A ``RationalTF`` finds
-its denominator's roots once, on first use, and both of those read them.
+functions from the realization's poles and zeros (the eigenvalues of A and
+of the zero dynamics, whose only tolerance is ``_ORIGIN_RTOL``), frequency
+responses, pole/zero extraction, and a grid-based positive-real check.  A
+``RationalTF`` keeps its poles and zeros: a converted one has them from the
+realization, one built from coefficients finds them once, on first use.
 
 The state-space frequency response is certified point by point: a modal
 solve with one refinement step is kept where its componentwise backward
@@ -45,9 +45,13 @@ from .errors import (
 )
 from .linalg import as_floats, freeze, require_joints, require_psd, require_spd
 from .model import LinearRobotParams
-from .poly import aberth_roots, trim
+from .poly import _enforce_conjugates, aberth_roots, poly_from_roots, trim
 
 MAX_TF_STATES = 20
+# Roots within this fraction of ||A||_F of the origin are exactly 0 in
+# ``ss_to_tf``.  On the 3,200 loops of the benchmark's design pools, the
+# scattered rigid-body roots reach 2.1e-10 of it, and the others are above 4.8e-5
+_ORIGIN_RTOL = 1e-7
 # The componentwise backward error that certifies a point of ``evaluate``:
 # 2^-48 = 32 u, room above the rounding of the residual itself
 RESOLVENT_BACKWARD_ERROR = 2.0 ** -48
@@ -101,7 +105,8 @@ class RationalTF:
 
     ``cancelled`` records the common power of s stripped, as roots at the
     origin, when the function was converted from a state-space realization.
-    The denominator's roots are found once, on first use, and kept read-only.
+    The poles and zeros are kept read-only: ``ss_to_tf`` sets them, and a
+    function built from coefficients finds each set once, on first use.
     """
 
     num: np.ndarray
@@ -120,9 +125,16 @@ class RationalTF:
     @cached_property
     def _poles(self) -> np.ndarray:
         # a RootFindingError propagates and leaves nothing cached
-        poles = aberth_roots(self.den)
-        poles.setflags(write=False)
-        return poles
+        return _frozen(aberth_roots(self.den))
+
+    @cached_property
+    def _zeros(self) -> np.ndarray:
+        return _frozen(aberth_roots(self.num))
+
+
+def _frozen(roots: np.ndarray) -> np.ndarray:
+    roots.setflags(write=False)
+    return roots
 
 
 @dataclass(frozen=True)
@@ -309,58 +321,25 @@ def env_impedance_tf(env: EnvironmentImpedance) -> RationalTF:
                       np.array([0.0, 1.0]))
 
 
-def _faddeev_leverrier(A: np.ndarray, B: np.ndarray, C: np.ndarray):
-    """Characteristic polynomial and numerator coefficients of C (sI-A)^-1 B.
-
-    Returns (den, num) in ascending order for the scalar selection; both
-    come from the resolvent expansion  (sI - A)^-1 = sum_k T_k s^(m-1-k) / p(s).
-    """
-    mdim = A.shape[0]
-    T = np.eye(mdim)
-    den_desc = np.zeros(mdim + 1)
-    den_desc[0] = 1.0
-    num_desc = np.zeros(mdim)
-    for k in range(mdim):
-        num_desc[k] = float(C @ T @ B)
-        AT = A @ T
-        ck = -np.trace(AT) / (k + 1)
-        den_desc[k + 1] = ck
-        T = AT + ck * np.eye(mdim)
-    return den_desc[::-1].copy(), num_desc[::-1].copy()
-
-
-def _clean_coeffs(c: np.ndarray) -> np.ndarray:
-    """The conversion's coefficient tolerances, all in one place.
-
-    Zeroes the low-order run of coefficients at or below 1e-9 of the
-    largest: the recursion's residue where rigid-body modes put exact
-    zeros, which would split a double root at the origin into a spurious
-    pair (small interior coefficients are genuine for n >= 2).  Drops
-    leading ones at or below 1e-13 of the largest, losing a genuine one
-    from three joints on: a cut kept only until the benchmark can absorb
-    more designs reaching root finding (ROADMAP item 1).
-    """
-    c = as_floats(c, "coefficients")
-    scale = float(np.max(np.abs(c)))
-    kept = np.flatnonzero(np.abs(c) > 1e-13 * scale)
-    out = c[:kept[-1] + 1].copy() if kept.size else np.zeros(1)
-    out[:int(np.argmin(np.abs(out) <= 1e-9 * scale))] = 0.0
-    return out
-
-
 def ss_to_tf(ss: StateSpace, input_index: int = 0, output_index: int = 0) -> RationalTF:
-    """Transfer function of one input/output pair of a state-space system.
+    """Transfer function of one input/output pair of a state-space system,
+    from the realization's poles and zeros; no polynomial is formed by
+    recursion.
 
-    Uses the Faddeev-LeVerrier recursion for the characteristic polynomial
-    and numerator, cleans both by ``_clean_coeffs`` (the conversion's only
-    tolerances), then strips their common power of s (recorded in
-    ``cancelled``); other common factors of a non-minimal realization stay.
-    No roots are computed.  On shaped loops of one and two joints the
-    result matches the resolvent; from three joints on, the high-order cut
-    can drop the denominator's 1 or the numerator's C B, so evaluate the
-    state-space response there.  Refused above ``MAX_TF_STATES`` states,
-    where the polynomial route loses too much precision; evaluate the
-    resolvent directly at frequencies of interest instead.
+    The poles are ``eig(A)``.  With a feedthrough ``d != 0`` the gain is d
+    and the zeros are ``eig(A - b c / d)``.  Otherwise r is the first k with
+    ``c A^(k-1) b`` exactly nonzero, the gain is ``g = c A^(r-1) b`` and the
+    zeros are the eigenvalues of the zero dynamics ``V^T (A - b c A^r / g) V``,
+    V an orthonormal basis of the kernel of ``[c; cA; ...; cA^(r-1)]``
+    (Emami-Naeini & Van Dooren, Automatica 18(4), 1982); without such a k
+    the function is zero.  Roots within ``_ORIGIN_RTOL ||A||_F`` of the
+    origin are set to 0, and zeros at the origin cancel poles there
+    (recorded in ``cancelled``); other common factors of a non-minimal
+    realization stay.  ``num = g poly_from_roots(zeros)``, ``den =
+    poly_from_roots(poles)``, and the function keeps both root sets, so
+    ``poles_zeros`` and ``positive_real_check`` find no roots.  Refused
+    above ``MAX_TF_STATES`` states, where expanded coefficients lose too
+    much precision; evaluate the resolvent at the frequencies of interest.
     """
     if ss.n_states > MAX_TF_STATES:
         raise AssemblyError(
@@ -368,16 +347,30 @@ def ss_to_tf(ss: StateSpace, input_index: int = 0, output_index: int = 0) -> Rat
             "conversion; evaluate the frequency response from the state-space form instead")
     if not (0 <= input_index < ss.n_inputs and 0 <= output_index < ss.n_outputs):
         raise ValidationError("input or output index out of range")
-    b = ss.B[:, input_index]
-    c = ss.C[output_index, :]
-    d = float(ss.Dmat[output_index, input_index])
-    den, num = _faddeev_leverrier(ss.A, b, c)
-    if d != 0.0:
-        num = P.polyadd(num, d * den)
-    num = _clean_coeffs(num)
-    den = _clean_coeffs(den)
-    k = min(int(np.argmax(num != 0.0)), int(np.argmax(den != 0.0)))   # 0 for a zero num
-    return RationalTF(num[k:], den[k:], (0j,) * k)
+    A, b, c = ss.A, ss.B[:, input_index], ss.C[output_index]
+    g = float(ss.Dmat[output_index, input_index])
+    zeros = np.empty(0)
+    if g != 0.0:
+        zeros = np.linalg.eigvals(A - np.outer(b, c) / g)
+    else:
+        rows = [c]          # c A^k, k < r
+        for _ in range(ss.n_states):
+            g = float(rows[-1] @ b)
+            if g != 0.0:
+                V = np.linalg.svd(np.array(rows))[2][len(rows):].T
+                zeros = np.linalg.eigvals(V.T @ (A - np.outer(b, rows[-1] @ A) / g) @ V)
+                break
+            rows.append(rows[-1] @ A)
+    tol = _ORIGIN_RTOL * np.linalg.norm(A)
+    # the roots at the origin first, set to 0; k of them cancel
+    poles, zeros = (sorted((0j if abs(r) <= tol else complex(r) for r in roots), key=abs)
+                    for roots in (np.linalg.eigvals(A), zeros))
+    k = min(poles.count(0j), zeros.count(0j))
+    poles, zeros = _enforce_conjugates(poles[k:]), _enforce_conjugates(zeros[k:])
+    tf = RationalTF(poly_from_roots(zeros, g), poly_from_roots(poles), (0j,) * k)
+    object.__setattr__(tf, "_poles", _frozen(poles))
+    object.__setattr__(tf, "_zeros", _frozen(zeros))
+    return tf
 
 
 def evaluate(sys, svals) -> np.ndarray:
@@ -512,9 +505,9 @@ def freq_response(sys, omegas):
 
 
 def poles_zeros(tf: RationalTF):
-    """Poles and zeros; conjugate symmetry is exact for real systems.  The
-    poles are a copy of those the function keeps."""
-    return tf._poles.copy(), aberth_roots(tf.num)
+    """Poles and zeros; conjugate symmetry is exact for real systems.  Both
+    are copies of those the function keeps."""
+    return tf._poles.copy(), tf._zeros.copy()
 
 
 def _residue_at_simple_pole(tf: RationalTF, pole: complex) -> complex:

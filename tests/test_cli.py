@@ -458,13 +458,69 @@ def test_synth_pure_force_feedback_values(capsys):
     assert shaped.D_e[0, 0] == pytest.approx(0.1, rel=1e-9)
 
 
+THREE_JOINTS = """
+[plant]
+n = 3
+M = [[3, 0.5, 0], [0.5, 2, 0.3], [0, 0.3, 1.5]]
+J = 2, 1.5, 1
+K = diag(1e4, 2e4, 1.5e4)
+D = 1
+
+[controller]
+J_e = [[1, 0.2, 0], [0.2, 0.8, 0.1], [0, 0.1, 0.6]]
+K_e = diag(1.5e4, 3e4, 2e4)
+
+[outer_loop]
+K_phi = 100
+D_phi = 10
+
+[sim]
+dt = 2e-5
+T = 0.02
+input = step(1, 2, 0)
+"""
+
+
+@pytest.mark.parametrize("outer", [True, False])
+def test_verify_checks_positive_real_for_three_joints(outer):
+    # the loops the polynomial conversion called not-passive
+    text = THREE_JOINTS if outer else _without_section(THREE_JOINTS, "outer_loop")
+    lines, ok = run_verify(parse_config(text), seed=0)
+    assert ok, lines
+    assert "positive_real" in [line.split()[1] for line in lines]
+
+
+def test_verify_skips_positive_real_beyond_the_conversion_limit():
+    # six joints are 24 states, which ss_to_tf refuses
+    text = """
+[plant]
+n = 6
+M = 2
+J = 1.5
+K = 1e4
+D = 1
+
+[controller]
+J_e = 0.8
+K_e = 2e4
+
+[sim]
+dt = 2e-5
+T = 0.01
+input = step(1, 2, 0)
+"""
+    lines, ok = run_verify(parse_config(text), seed=0)
+    assert ok, lines
+    assert "positive_real" not in [line.split()[1] for line in lines]
+
+
 def test_verify_on_two_link_config():
     from flexjoint.cli import TWOLINK_STUDY
     cfg = parse_config(TWOLINK_STUDY.replace("T = 1.5", "T = 0.2"))
     lines, ok = run_verify(cfg, seed=2)
     assert ok, lines
     names = [line.split()[1] for line in lines]
-    # the positive-real check only applies to single-joint constant-mass plants
+    # the positive-real check applies to constant-mass plants only
     assert "positive_real" not in names
     assert "equivalence_residual" in names
 

@@ -31,7 +31,7 @@ from flexjoint import (
     target_admittance,
 )
 from flexjoint.lti import _modal_response, evaluate
-from flexjoint.poly import aberth_roots
+from flexjoint.poly import ROOT_BACKWARD_ERROR, _certify, aberth_roots
 
 PAPER_TARGET = TargetImpedance(1, 3.0, 10.0, 100.0)
 OUTER = OuterLoop(100.0, 10.0)
@@ -289,8 +289,7 @@ class TestSsToTf:
         ss_to_tf(assemble_closed_loop(plant, shaped, outer))
 
     def test_two_joint_loops_match_resolvent(self):
-        # small interior coefficients of n = 2 polynomials are genuine, so
-        # only the low-order residue of the recursion may be zeroed
+        # small interior coefficients of n = 2 polynomials are genuine
         rng = np.random.default_rng(2)
         outer = OuterLoop(np.diag([100.0, 50.0]), np.diag([10.0, 5.0]))
         s = 1j * np.logspace(-2, 3, 400)
@@ -311,6 +310,53 @@ class TestSsToTf:
         s = 1j * np.logspace(-2, 3, 60)
         a, b = evaluate(tf, s), evaluate(ss, s)
         assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("outer", [False, True])
+    def test_random_designs_match_resolvent(self, n, outer):
+        # on these draws, the polynomial route this replaced disagreed with
+        # the resolvent on 11 of 12 loops at n = 3 and on all 12 at n = 4
+        rng = np.random.default_rng(100 * n + outer)
+        s = 1j * np.logspace(-2, 3, 400)
+        for _ in range(6):
+            ss = shaped_siso(rng, n, outer)
+            tf = ss_to_tf(ss)
+            a, b = evaluate(tf, s), evaluate(ss, s)
+            assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-6
+            assert positive_real_check(tf).verdict == "passive"
+            assert tf._poles.size == 4 * n - len(tf.cancelled)
+            for roots, coeffs in ((tf._poles, tf.den), (tf._zeros, tf.num)):
+                assert np.max(_certify(roots, coeffs), initial=0.0) <= ROOT_BACKWARD_ERROR
+
+    def test_relative_degree_two_zero(self):
+        # (2s + 10) / ((s + 1)(s + 2)(s + 3)) in companion form: c b = 0,
+        # so the gain is c A b = 2 and the one zero is that of (s + 5)
+        A = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-6.0, -11.0, -6.0]]
+        tf = ss_to_tf(StateSpace(A, [[0.0], [0.0], [1.0]], [[10.0, 2.0, 0.0]], [[0.0]]))
+        poles, zeros = poles_zeros(tf)
+        assert zeros.size == 1 and zeros[0] == pytest.approx(-5.0, rel=1e-12)
+        assert np.allclose(np.sort(poles.real), [-3.0, -2.0, -1.0], rtol=1e-12)
+        assert np.allclose(tf.num, [10.0, 2.0], rtol=1e-12)
+        assert np.allclose(tf.den, [6.0, 11.0, 6.0, 1.0], rtol=1e-12)
+
+    def test_feedthrough_has_a_zero_per_state(self):
+        # 2 + 1/(s + 1) + 1/(s + 2) = (2s^2 + 8s + 7) / ((s + 1)(s + 2)),
+        # zeros -2 -+ sqrt(2)/2
+        tf = ss_to_tf(StateSpace(np.diag([-1.0, -2.0]), [[1.0], [1.0]], [[1.0, 1.0]],
+                                 [[2.0]]))
+        zeros = poles_zeros(tf)[1]
+        assert zeros.size == 2
+        assert np.allclose(np.sort(zeros.real), [-2.0 - 0.5 ** 0.5, -2.0 + 0.5 ** 0.5],
+                           rtol=1e-12)
+        assert not np.any(zeros.imag)
+        assert np.allclose(tf.num, [7.0, 8.0, 2.0], rtol=1e-12)
+
+    def test_zero_markov_parameters_give_the_zero_function(self):
+        # b is unobservable from c: c A^k b = 0 for every k
+        tf = ss_to_tf(StateSpace(np.diag([-1.0, -2.0]), [[1.0], [0.0]], [[0.0, 1.0]], [[0.0]]))
+        assert np.array_equal(tf.num, [0.0]) and tf.cancelled == ()
+        assert poles_zeros(tf)[1].size == 0
+        assert np.array_equal(evaluate(tf, [1j, 2.0]), [0.0, 0.0])
 
     def test_refuses_large_systems(self):
         m = 24
@@ -459,7 +505,7 @@ class TestPolesZeros:
             assert {(r.real, r.imag) for r in roots} == {(r.real, -r.imag) for r in roots}
 
 
-    def test_poles_are_found_once_per_transfer_function(self, paper_plant, monkeypatch):
+    def test_roots_are_found_once_per_transfer_function(self, paper_plant, monkeypatch):
         from flexjoint import lti
         calls = []
 
@@ -469,19 +515,24 @@ class TestPolesZeros:
 
         monkeypatch.setattr(lti, "aberth_roots", counted)
         ss = assemble_closed_loop(paper_plant, recover_shaped(paper_plant, 0.9, 4.0), OUTER)
+        # a converted function keeps the realization's roots: no root finding
         tf = ss_to_tf(ss)
-        poles, _ = poles_zeros(tf)
+        poles, zeros = poles_zeros(tf)
         verdict = positive_real_check(tf)
-        assert len(calls) == 2 and verdict.verdict == "passive"
-        # the returned poles are a copy: writing over them changes no verdict
+        assert calls == [] and verdict.verdict == "passive"
+        # the returned roots are copies: writing over them changes no verdict
         poles[:] = 1.0
+        zeros[:] = 1.0
         assert positive_real_check(tf) == verdict
-        assert np.array_equal(poles_zeros(tf)[0], aberth_roots(tf.den))
-        assert len(calls) == 3
-        fresh = ss_to_tf(ss)
-        poles_zeros(fresh)
-        positive_real_check(fresh)
-        assert len(calls) == 5
+        assert np.array_equal(poles_zeros(tf)[0], ss_to_tf(ss)._poles)
+        assert calls == []
+        # one built from coefficients finds its poles and its zeros once each
+        built = RationalTF(tf.num, tf.den)
+        for _ in range(3):
+            poles_zeros(built)
+            positive_real_check(built)
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], tf.den) and np.array_equal(calls[1], tf.num)
 
     def test_failed_root_finding_is_not_kept(self, monkeypatch):
         from flexjoint import RootFindingError, lti
