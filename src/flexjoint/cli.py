@@ -19,7 +19,7 @@ than a margin of 2 eps (of the long double) from a rounding tie; the cells
 it cannot certify are formatted by ``%``.
 
 Exit codes: 0 success, 1 divergence during simulation, 2 infeasible or
-malformed configuration, 3 verification failure.
+malformed configuration or an unusable path, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -516,7 +516,11 @@ def reproduce_paper(outdir: Path) -> list:
 # ---------------------------------------------------------------------------
 
 def _load_config(path: str) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse_config(text)
 
 
 def _outdir(out: str | None, cfg: ExperimentConfig) -> Path:
@@ -586,7 +590,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (FlexJointError, FileNotFoundError) as exc:
+    except (FlexJointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK

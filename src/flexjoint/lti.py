@@ -45,7 +45,7 @@ from .errors import (
 )
 from .linalg import as_floats, freeze, require_joints, require_psd, require_spd
 from .model import LinearRobotParams
-from .poly import _enforce_conjugates, aberth_roots, poly_from_roots, trim
+from .poly import aberth_roots, poly_from_roots, trim
 
 MAX_TF_STATES = 20
 # Roots within this fraction of ||A||_F of the origin are exactly 0 in
@@ -335,11 +335,13 @@ def ss_to_tf(ss: StateSpace, input_index: int = 0, output_index: int = 0) -> Rat
     the function is zero.  Roots within ``_ORIGIN_RTOL ||A||_F`` of the
     origin are set to 0, and zeros at the origin cancel poles there
     (recorded in ``cancelled``); other common factors of a non-minimal
-    realization stay.  ``num = g poly_from_roots(zeros)``, ``den =
-    poly_from_roots(poles)``, and the function keeps both root sets, so
-    ``poles_zeros`` and ``positive_real_check`` find no roots.  Refused
-    above ``MAX_TF_STATES`` states, where expanded coefficients lose too
-    much precision; evaluate the resolvent at the frequencies of interest.
+    realization stay.  Each root set is only sorted: the eigenvalues of a
+    real matrix come in exact conjugate pairs.  ``num = g
+    poly_from_roots(zeros)``, ``den = poly_from_roots(poles)``, and the
+    function keeps both root sets, so ``poles_zeros`` and
+    ``positive_real_check`` find no roots.  Refused above ``MAX_TF_STATES``
+    states, where expanded coefficients lose too much precision; evaluate
+    the resolvent at the frequencies of interest.
     """
     if ss.n_states > MAX_TF_STATES:
         raise AssemblyError(
@@ -366,7 +368,9 @@ def ss_to_tf(ss: StateSpace, input_index: int = 0, output_index: int = 0) -> Rat
     poles, zeros = (sorted((0j if abs(r) <= tol else complex(r) for r in roots), key=abs)
                     for roots in (np.linalg.eigvals(A), zeros))
     k = min(poles.count(0j), zeros.count(0j))
-    poles, zeros = _enforce_conjugates(poles[k:]), _enforce_conjugates(zeros[k:])
+    # LAPACK's real geev gives exact conjugate pairs and real roots a zero imaginary
+    # part, and the origin snap maps a pair alike: sorting is all the pairing needed
+    poles, zeros = np.sort_complex(poles[k:]), np.sort_complex(zeros[k:])
     tf = RationalTF(poly_from_roots(zeros, g), poly_from_roots(poles), (0j,) * k)
     object.__setattr__(tf, "_poles", _frozen(poles))
     object.__setattr__(tf, "_zeros", _frozen(zeros))

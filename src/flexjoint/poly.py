@@ -7,10 +7,7 @@ exact zeros.  This module adds real products of conjugate pairs and a
 certified root finder: Aberth-Ehrlich iteration started from the
 companion-matrix eigenvalues of the frequency-scaled polynomial, roots
 snapped into exact conjugate pairs, and a backward-error certificate on
-every root, with one restart from the Newton polygon when it fails.  Each
-Aberth step evaluates p and p' by one Horner recurrence on a two-row
-coefficient stack, and the certificate's two sums share one pass: the
-floating-point operations of ``P.polyval``, so the roots have its bits.
+every root, with one restart from the Newton polygon when it fails.
 """
 
 from __future__ import annotations
@@ -74,22 +71,10 @@ def poly_from_roots(roots, leading: float = 1.0) -> np.ndarray:
     return out
 
 
-def _horner(c: np.ndarray, x, v: np.ndarray) -> np.ndarray:
-    """Horner's recurrence ``v = c[:, k] + v * x`` from ``v``, over the
-    columns of ``c`` from the last to the first: the operations of
-    ``P.polyval``, which starts from ``c[-1] + x * 0``, on each row at once."""
-    for k in range(c.shape[1] - 1, -1, -1):
-        v = c[:, k:k + 1] + v * x
-    return v
-
-
 def _aberth_iterate(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # p' has the coefficients k c_k, as P.polyder computes them; after p's
-    # first step, p and p' have equally many steps left, taken together
-    dc = c[1:] * np.arange(1, c.size)
-    rest = np.array([c[:-2], dc[:-1]])
+    dc = P.polyder(c)
     for _ in range(400):        # the iteration budget
-        p, dp = _horner(rest, z, np.array([c[-2] + (c[-1] + z * 0) * z, dc[-1] + z * 0]))
+        p, dp = P.polyval(z, c), P.polyval(z, dc)
         dp = np.where(dp == 0.0, np.finfo(float).eps, dp)
         w = p / dp
         diff = z[:, None] - z[None, :]
@@ -138,12 +123,9 @@ def _polygon_starts(c: np.ndarray) -> np.ndarray:
 
 
 def _certify(roots: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Each root's backward error ``|p(r)| / sum_k |c_k| |r|^k``, both sums in
-    one Horner pass; 0 where the denominator is 0."""
-    coeffs = np.array([c, np.abs(c)])
-    x = np.array([roots, np.abs(roots)])
-    residual, scale = _horner(coeffs[:, :-1], x, coeffs[:, -1:] + x * 0)
-    residual, scale = np.abs(residual), scale.real
+    """Each root's backward error ``|p(r)| / sum_k |c_k| |r|^k``; 0 where the
+    denominator is 0."""
+    residual, scale = np.abs(P.polyval(roots, c)), P.polyval(np.abs(roots), np.abs(c))
     return np.divide(residual, scale, out=np.zeros_like(residual), where=scale != 0.0)
 
 

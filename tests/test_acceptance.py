@@ -111,6 +111,7 @@ def test_criterion_1_linear_equivalence(linear_trajectories):
             f"(tol 1e-6), runtime {elapsed:.1f} s (< 60 s)")
 
 
+@pytest.mark.slow
 def test_criterion_2_nonlinear_equivalence(demo_arm, twolink_trajectories):
     rng = np.random.default_rng(102)
     worst = 0.0
@@ -204,6 +205,7 @@ def test_criterion_6_positive_real():
             f">= -1e-9 over 400 points in [1e-2, 1e3] rad/s")
 
 
+@pytest.mark.slow
 def test_criterion_7_passivity_audits(linear_trajectories, twolink_trajectories,
                                       ivb_summary, demo_arm):
     (lin_a, lin_b), _ = linear_trajectories
@@ -243,6 +245,7 @@ def test_criterion_7_passivity_audits(linear_trajectories, twolink_trajectories,
             f"two-link {drift_twolink:.2e} (tol 1e-6)")
 
 
+@pytest.mark.slow
 def test_criterion_8_inertia_sweep_tracking(ivb_summary):
     summary, elapsed, outdir = ivb_summary
     l2 = [row[2] for row in summary]

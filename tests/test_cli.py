@@ -17,6 +17,7 @@ from flexjoint.cli import (
     ONEDOF_STUDY,
     TWOLINK_STUDY,
     _claim,
+    _gain_combos,
     main,
     reproduce_paper,
     run_bode,
@@ -341,6 +342,15 @@ class TestReproducePaper:
         assert "FAIL sim_l2_strictly_decreasing_in_sweep" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("sweep, combos", [
+    ("K_F = -0.9, 0.9", [(-0.9, 4.0), (0.9, 4.0)]),
+    ("K_G = 0, 1, 4", [(0.9, 0.0), (0.9, 1.0), (0.9, 4.0)]),
+], ids=["K_F_list", "K_G_list"])
+def test_one_sweep_list_takes_the_other_gain_from_controller(sweep, combos):
+    text = "[plant]\nn = 1\nM = 3\nJ = 3\nK = 1e6\n[controller]\nK_F = 0.9\nK_G = 4\n"
+    assert _gain_combos(parse_config(text + "[sweep]\n" + sweep + "\n")) == combos
+
+
 def test_claim_row():
     # non-strict claims allow 1e-12 of increase, strict ones none
     assert _claim("c", [1.0, 1.0 + 5e-13], ".3f") == ("c", "pass", "1.000 -> 1.000")
@@ -420,6 +430,20 @@ class TestEntryPoint:
     def test_missing_config_file(self, tmp_path):
         assert main(["bode", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)]) == EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize("config, out, fragment", [
+        (".", "out", "Is a directory"),
+        ("latin1.cfg", "out", "latin1.cfg: not UTF-8 text"),
+        ("study.cfg", "study.cfg", "File exists"),
+        ("study.cfg", "study.cfg/out", "Not a directory"),
+    ], ids=["config_is_a_directory", "config_not_utf8", "out_is_a_file", "out_beneath_a_file"])
+    def test_path_and_encoding_errors_exit_infeasible(self, fast_cfg_path, tmp_path, capsys,
+                                                       config, out, fragment):
+        (tmp_path / "latin1.cfg").write_bytes(FAST_SIM.replace("M_d", "M\xe9").encode("latin-1"))
+        code = main(["bode", "--config", str(tmp_path / config), "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INFEASIBLE
+        assert err.count("\n") == 1 and err.startswith("error: ") and fragment in err, err
 
 
 def test_bundled_study_configs_parse():

@@ -132,6 +132,16 @@ class TestParsing:
         with pytest.raises(ConfigurationError):
             parse_config("[plant]\nn = \n")
 
+    @pytest.mark.parametrize("call, fragment", [
+        (lambda: parse_config("[plant\nn = 1\n"), "line 1: malformed section header '[plant'"),
+        (lambda: parse_config("[plant]\nn 1\n"), "line 2: expected 'key = value', got 'n 1'"),
+        (lambda: build_plant(parse_config("[plant]\nn = 1\nM = 3\nJ = 3\n")),
+         "[plant] is missing 'K'"),
+    ], ids=["section_header", "line_without_equals", "missing_plant_K"])
+    def test_malformed_file_is_named(self, call, fragment):
+        with pytest.raises(ConfigurationError, match=re.escape(fragment)):
+            call()
+
 
 BASE = "[plant]\nn = 1\nM = 3\nJ = 3\nK = 1e6\n"
 

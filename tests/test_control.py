@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import flexjoint.control
 import flexjoint.sim
 from conftest import rand_admissible_shaping, rand_plant, rand_spd
 from flexjoint import (
+    ConfigurationError,
     ImpedanceGains,
     LinearRobotParams,
     NotApplicableError,
@@ -23,7 +26,7 @@ from flexjoint import (
     simulate_plant_with_controller,
     synthesize_gains,
 )
-from flexjoint.control import gain_consistency_error, gains_at
+from flexjoint.control import check_gain_consistency, gain_consistency_error, gains_at
 
 
 class TestSynthesizeGains:
@@ -300,3 +303,15 @@ class TestGainsAt:
         _, sp = synthesize_gains(demo_arm, np.eye(2), 2.0 * demo_arm.K)
         with pytest.raises(ValidationError):
             gains_at(paper_plant, sp, np.zeros(1))
+
+
+@pytest.mark.parametrize("gains, fragment", [
+    (ImpedanceGains(0.9, 4.0, 6.0), "gain triple violates K_H - K_G - K_F = I by 1.000e-01"),
+    # K_H - K_G - K_F = I holds, but J K^-1 K_e J_e^-1 = 1 for this shaping
+    (ImpedanceGains(0.9, 4.0, 5.9),
+     "K_H inconsistent with shaped parameters (deviation 4.900e+00)"),
+], ids=["identity", "input_gain"])
+def test_gain_consistency_names_the_violation(paper_plant, gains, fragment):
+    _, sp = synthesize_gains(paper_plant, 1.5, 5e5)
+    with pytest.raises(ConfigurationError, match=re.escape(fragment)):
+        check_gain_consistency(gains, sp, paper_plant)

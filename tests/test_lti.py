@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,12 +12,14 @@ from flexjoint import (
     AssemblyError,
     EnvironmentImpedance,
     ImpedanceGains,
+    LinearRobotParams,
     NotApplicableError,
     OuterLoop,
     RationalTF,
     ShapedParams,
     StateSpace,
     TargetImpedance,
+    ValidationError,
     admittance_1dof,
     assemble_closed_loop,
     assemble_coupled,
@@ -29,12 +32,14 @@ from flexjoint import (
     ss_to_tf,
     synthesize_gains,
     target_admittance,
+    two_link_arm,
 )
 from flexjoint.lti import _modal_response, evaluate
 from flexjoint.poly import ROOT_BACKWARD_ERROR, _certify, aberth_roots
 
 PAPER_TARGET = TargetImpedance(1, 3.0, 10.0, 100.0)
 OUTER = OuterLoop(100.0, 10.0)
+LAG = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
 
 
 def per_point_response(ss, svals):
@@ -327,6 +332,8 @@ class TestSsToTf:
             assert tf._poles.size == 4 * n - len(tf.cancelled)
             for roots, coeffs in ((tf._poles, tf.den), (tf._zeros, tf.num)):
                 assert np.max(_certify(roots, coeffs), initial=0.0) <= ROOT_BACKWARD_ERROR
+                # sorted, and closed under conjugation bit for bit
+                assert np.array_equal(np.sort_complex(roots.conj()), roots)
 
     def test_relative_degree_two_zero(self):
         # (2s + 10) / ((s + 1)(s + 2)(s + 3)) in companion form: c b = 0,
@@ -682,3 +689,38 @@ def test_random_spd_helper_shapes():
     a = rand_spd(rng, 3)
     assert np.allclose(a, a.T)
     assert np.min(np.linalg.eigvalsh(a)) > 0
+
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: StateSpace([[1.0, 2.0]], [[1.0]], [[1.0]], [[0.0]]), ValidationError,
+     "A must be square"),
+    (lambda: StateSpace(np.eye(2), [[1.0]], [[1.0, 1.0]], [[0.0]]), ValidationError,
+     "B rows 1 != states 2"),
+    (lambda: StateSpace(np.eye(2), np.ones((2, 1)), [[1.0]], [[0.0]]), ValidationError,
+     "C cols 1 != states 2"),
+    (lambda: StateSpace(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.zeros((2, 2))),
+     ValidationError, "Dmat shape (2, 2) != (1, 1)"),
+    (lambda: RationalTF([1.0], [0.0, 0.0]), ValidationError, "denominator is identically zero"),
+    (lambda: assemble_plant_loop(two_link_arm([0.5, 0.4], [4.0, 2.5], [1.0, 1.0], 1e4, 0.0),
+                                 ImpedanceGains(0.0, 0.0, 1.0)),
+     ValidationError, "requires a constant-mass plant"),
+    # K_F = J / M makes J - K_F M singular
+    (lambda: assemble_plant_loop(LinearRobotParams(1, 3.0, 3.0, 1e6, 1.0),
+                                 ImpedanceGains(1.0, 0.0, 2.0)), AssemblyError,
+     "singular inertia block"),
+    (lambda: target_admittance(TargetImpedance(2, 1.0, 1.0, 1.0)), NotApplicableError,
+     "defined for n=1, got n=2"),
+    (lambda: env_impedance_tf(EnvironmentImpedance(2, 1.0, 1.0, 1.0)), NotApplicableError,
+     "defined for n=1, got n=2"),
+    (lambda: ss_to_tf(LAG, input_index=1), ValidationError, "index out of range"),
+    (lambda: ss_to_tf(LAG, output_index=-1), ValidationError, "index out of range"),
+    (lambda: evaluate(StateSpace(-np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2))), 1j),
+     ValidationError, "single input/output pair"),
+    (lambda: evaluate([1.0], 1j), ValidationError, "unsupported system type list"),
+], ids=["A_not_square", "B_rows", "C_cols", "Dmat_shape", "zero_denominator",
+        "plant_loop_varying_mass", "plant_loop_singular_motor_block", "target_n2", "env_n2",
+        "input_index", "output_index", "evaluate_mimo", "evaluate_type"])
+def test_invalid_arguments_are_rejected(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -1,4 +1,5 @@
 import pickle
+import re
 import types
 
 import numpy as np
@@ -21,7 +22,7 @@ from flexjoint import (
     to_closed,
     two_link_arm,
 )
-from flexjoint.linalg import cholesky_lower
+from flexjoint.linalg import as_matrix, cholesky_lower
 
 
 def directional_mass_derivative(model, q, qdot):
@@ -188,6 +189,7 @@ class TestBatchEvaluators:
 
 
 class TestEnergyConsistency:
+    @pytest.mark.slow
     def test_free_swing_conserves_energy(self, gravity_arm):
         # undamped, unforced: the total energy is a first integral
         model = gravity_arm
@@ -205,7 +207,39 @@ class TestEnergyConsistency:
         assert max(abs(h - H0) for h in H) <= 1e-8 * scale
 
 
+def _zero_mass_model(n=2):
+    """A two-joint varying-mass model, declared with ``n`` joints, whose M(q) is zero."""
+    return NonlinearRobotModel(
+        n=n, mass_of=lambda q: np.zeros(np.shape(q)[:-1] + (2, 2)),
+        dmass_of=lambda q: np.zeros(np.shape(q)[:-1] + (2, 2, 2)),
+        potential_of=lambda q: np.zeros(np.shape(q)[:-1]),
+        gravity_grad_of=lambda q: np.zeros(np.shape(q)),
+        J=np.eye(2), K=np.eye(2), D=np.eye(2))
+
+
 class TestValidation:
+    @pytest.mark.parametrize("call, error, fragment", [
+        (lambda: LinearRobotParams(n=0, M=1.0, J=1.0, K=1.0, D=0.0), ValidationError,
+         "joint count must be >= 1, got 0"),
+        (lambda: _zero_mass_model(n=0), ValidationError, "joint count must be >= 1, got 0"),
+        (lambda: NonlinearRobotModel.from_linear(LinearRobotParams(1, 1.0, 1.0, 1.0, 0.0),
+                                                 potential_of=lambda q: 0.0),
+         ValidationError, "provide both potential_of and gravity_grad_of, or neither"),
+        (lambda: NonlinearRobotModel.from_linear(LinearRobotParams(1, 1.0, 1.0, 1.0, 0.0),
+                                                 gravity_grad_of=lambda q: q),
+         ValidationError, "provide both potential_of and gravity_grad_of, or neither"),
+        (lambda: _zero_mass_model().link_terms(np.zeros(2), np.ones(2)),
+         DegenerateModelError, "mass matrix is singular"),
+        (lambda: OpenLoopState.unpack(np.zeros(3), 1), ValidationError,
+         "state vector: expected shape (4,), got (3,)"),
+        (lambda: as_matrix(np.zeros((1, 1, 1)), 1, "M"), ValidationError,
+         "M: too many dimensions (3)"),
+    ], ids=["linear_n0", "nonlinear_n0", "only_potential", "only_gravity_grad",
+            "singular_mass", "unpack_shape", "matrix_3d"])
+    def test_invalid_arguments_are_rejected(self, call, error, fragment):
+        with pytest.raises(error, match=re.escape(fragment)):
+            call()
+
     def test_rejects_asymmetric_mass(self):
         with pytest.raises(ValidationError):
             LinearRobotParams(n=2, M=np.array([[1.0, 0.5], [0.0, 1.0]]),

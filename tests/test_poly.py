@@ -108,6 +108,12 @@ def test_unpaired_complex_root_is_rejected(roots):
         poly_from_roots(roots)
 
 
+@pytest.mark.parametrize("bad", [[], [[1.0, 2.0]]], ids=["empty", "two_dimensional"])
+def test_malformed_coefficients_are_rejected(bad):
+    with pytest.raises(ValidationError, match="non-empty 1-D sequence"):
+        trim(bad)
+
+
 @pytest.mark.parametrize("bad", [[1.0, np.nan, 1.0, 2.0], [1.0, np.inf, 1.0, 2.0]])
 def test_non_finite_coefficients_are_rejected(bad):
     with pytest.raises(ValidationError, match="finite"):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -196,6 +197,27 @@ class TestScenarioValidation:
             for call in calls:
                 with pytest.raises(ValidationError):
                     call()
+
+    @pytest.mark.parametrize("call, fragment", [
+        (lambda m: InputSignal("ramp"), "unknown input kind 'ramp'"),
+        (lambda m: InputSignal.step(1.0, -1), "input joint -1 must be nonnegative"),
+        (lambda m: simulate_plant_with_controller(Scenario(plant=m, controller="gains")),
+         "unsupported controller type str"),
+        (lambda m: simulate_closed_form(Scenario(plant=m)), "requires a controller"),
+        (lambda m: simulate_plant_with_controller(Scenario(plant=m, T=1e-6, dt=1e-5)),
+         "horizon T must be at least one step"),
+        (lambda m: simulate_plant_with_controller(
+            Scenario(plant=m, environment=EnvironmentImpedance(1, 1.0, 1.0, 1.0))),
+         "environment coupling is handled by simulate_coupled"),
+        (lambda m: simulate_closed_form(
+            Scenario(plant=m, controller=synthesize_gains(m, 1.5, 5e5)[1],
+                     environment=EnvironmentImpedance(1, 1.0, 1.0, 1.0))),
+         "environment coupling is handled by simulate_coupled"),
+    ], ids=["input_kind", "input_joint", "controller_type", "missing_controller", "T_below_dt",
+            "environment_plant_chart", "environment_closed_form"])
+    def test_invalid_scenarios_are_rejected(self, paper_plant, call, fragment):
+        with pytest.raises(ValidationError, match=re.escape(fragment)):
+            call(paper_plant)
 
     @pytest.mark.parametrize("joint", [1.5, 1.0, "1", True, None])
     def test_input_joint_must_be_an_integer_index(self, joint):
