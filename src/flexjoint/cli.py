@@ -56,6 +56,7 @@ from .errors import (
     DivergenceError,
     FlexJointError,
 )
+from .linalg import require_entries
 from .lti import (
     MAX_TF_STATES,
     assemble_closed_loop,
@@ -179,6 +180,10 @@ def run_bode(cfg: ExperimentConfig, outdir: Path, grid_points: int = 400):
     if grid_points < 1:
         raise ConfigurationError(f"grid_points must be at least 1, got {grid_points}")
     tf_target, loops = _gain_study(cfg, "bode")
+    # bode.csv has one row of five columns per system and grid point
+    require_entries(5.0 * (len(loops) + 1) * grid_points,
+                    f"bode.csv of {len(loops) + 1} systems x {grid_points:.3g} grid points",
+                    ConfigurationError)
     grid = np.logspace(-2, 3, grid_points)
     mag_target, phase_target = freq_response(tf_target, grid)
 

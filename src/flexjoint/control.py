@@ -30,7 +30,7 @@ evaluation, and the extra Coriolis compensation lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .errors import (
     NotApplicableError,
     ParametrizationSingularError,
     ShapingInfeasibleError,
+    ValidationError,
 )
 from .linalg import (
     as_matrix,
@@ -46,18 +47,24 @@ from .linalg import (
     freeze,
     matvec,
     min_eigenvalue_sym,
-    require_psd,
-    require_spd,
+    read_only,
+    require_admissible,
     solve,
 )
 from .model import NonlinearRobotModel, OpenLoopState, RobotModel, as_model
+
+# (name, SPD rather than PSD, error) of each shaped matrix, in checking order
+_SHAPING_CHECKS = tuple((name, name != "D_e", partial(ShapingInfeasibleError, matrix_name=name))
+                        for name in ("J_e", "K_e", "D_e"))
 
 
 @dataclass(frozen=True)
 class ShapedParams:
     """Closed-loop inertia, stiffness, and damping (J_e, K_e, D_e).  Building
-    one is the only admissibility check of a shaping (J_e, K_e SPD, D_e PSD);
-    a failure raises ``ShapingInfeasibleError`` naming the matrix."""
+    one is the only admissibility check of a shaping (J_e, K_e SPD, D_e PSD),
+    one stacked pass over the three; a failure raises ``ShapingInfeasibleError``
+    naming the first failing matrix.  ``Jeinv`` is computed once, on first
+    use, and is read-only."""
 
     J_e: np.ndarray
     K_e: np.ndarray
@@ -66,17 +73,22 @@ class ShapedParams:
     def __post_init__(self):
         n = np.atleast_2d(np.asarray(self.J_e, dtype=float)).shape[0]
         freeze(self, ("J_e", "K_e", "D_e"), n)
-        for name, check in (("J_e", require_spd), ("K_e", require_spd), ("D_e", require_psd)):
-            check(getattr(self, name), name, partial(ShapingInfeasibleError, matrix_name=name))
+        require_admissible([(getattr(self, name), name, spd, err)
+                            for name, spd, err in _SHAPING_CHECKS])
 
     @property
     def n(self) -> int:
         return self.J_e.shape[0]
 
+    @cached_property
+    def Jeinv(self) -> np.ndarray:
+        """J_e^-1."""
+        return read_only(np.linalg.inv(self.J_e))
+
     @property
     def lossless(self) -> bool:
         """True when D_e is only semidefinite (no strict damping)."""
-        scale = max(float(np.max(np.abs(self.D_e))), 1.0)
+        scale = max(float(np.abs(self.D_e).max()), 1.0)
         return min_eigenvalue_sym(self.D_e) <= 1e-10 * scale
 
 
@@ -109,8 +121,8 @@ class OuterLoop:
     def __post_init__(self):
         n = np.atleast_2d(np.asarray(self.K_phi, dtype=float)).shape[0]
         freeze(self, ("K_phi", "D_phi"), n)
-        require_psd(self.K_phi, "K_phi")
-        require_psd(self.D_phi, "D_phi")
+        require_admissible([(self.K_phi, "K_phi", False, ValidationError),
+                            (self.D_phi, "D_phi", False, ValidationError)])
         freeze(self, ("phi_d",), n, as_vector)
 
     @property
@@ -118,11 +130,9 @@ class OuterLoop:
         return self.K_phi.shape[0]
 
 
-def _reference_mass(m: RobotModel, q_ref=None) -> np.ndarray:
-    model = as_model(m)
-    if q_ref is None:
-        q_ref = np.zeros(model.n)
-    return model.mass_of(as_vector(q_ref, model.n, "q_ref"))
+def _reference_q(model: NonlinearRobotModel, q_ref=None) -> np.ndarray:
+    """The configuration ``q_ref`` as a length-n vector, zero by default."""
+    return np.zeros(model.n) if q_ref is None else as_vector(q_ref, model.n, "q_ref")
 
 
 def synthesize_gains(m: RobotModel, J_e, K_e, q_ref=None):
@@ -158,13 +168,13 @@ def synthesize_gains(m: RobotModel, J_e, K_e, q_ref=None):
 
 def _input_gain(model: NonlinearRobotModel, sp: ShapedParams) -> np.ndarray:
     """K_H = J K^-1 K_e J_e^-1, independent of the configuration."""
-    return model.J @ np.linalg.inv(model.K) @ sp.K_e @ np.linalg.inv(sp.J_e)
+    return model.JKinv @ sp.K_e @ sp.Jeinv
 
 
 def configuration_gains(m: NonlinearRobotModel, K_e: np.ndarray, K_H: np.ndarray):
     """The gains as a function of M(q)^-1 (one matrix or a stack), returning
     K_F = -J K^-1 (K_e - K) M(q)^-1 and K_G = K_H - K_F - I."""
-    F = -(m.J @ np.linalg.inv(m.K)) @ (K_e - m.K)
+    F = -m.JKinv @ (K_e - m.K)
     eye = np.eye(m.n)
 
     def at(Minv):
@@ -184,7 +194,8 @@ def gains_at(m: RobotModel, sp: ShapedParams, q) -> ImpedanceGains:
     """
     model = as_model(m, sp)
     K_H = _input_gain(model, sp)
-    K_F, K_G = configuration_gains(model, sp.K_e, K_H)(np.linalg.inv(_reference_mass(m, q)))
+    Minv = model.inverse_mass(_reference_q(model, q))
+    K_F, K_G = configuration_gains(model, sp.K_e, K_H)(Minv)
     return ImpedanceGains(K_F, K_G, K_H)
 
 
@@ -203,11 +214,11 @@ def recover_shaped(m: RobotModel, K_F, K_G, q_ref=None) -> ShapedParams:
     n = model.n
     K_F = as_matrix(K_F, n, "K_F")
     K_G = as_matrix(K_G, n, "K_G")
-    M = _reference_mass(m, q_ref)
+    M = model.mass_of(_reference_q(model, q_ref))
 
     core = model.J - K_F @ M
     denom = K_F + K_G + np.eye(n)
-    if abs(np.linalg.det(denom)) < 1e-12 * max(float(np.max(np.abs(denom))), 1.0) ** n:
+    if abs(np.linalg.det(denom)) < 1e-12 * max(float(np.abs(denom).max()), 1.0) ** n:
         raise ParametrizationSingularError("K_F + K_G + I is singular")
     J_e = solve(denom, core, "K_F + K_G + I", ParametrizationSingularError)
     core_J = solve(model.J, core, "J")
@@ -220,7 +231,7 @@ def colgate_interval(m: RobotModel) -> tuple[float, float]:
     model = as_model(m)
     if model.n != 1:
         raise NotApplicableError(f"force-feedback interval is defined for n=1, got n={model.n}")
-    M = float(_reference_mass(m)[0, 0])
+    M = float(model.mass_of(_reference_q(model))[0, 0])
     return (-1.0, float(model.J[0, 0]) / M)
 
 
@@ -237,7 +248,7 @@ def _reference_control(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains, m: Rob
     n = model.n
     tau_e = as_vector(tau_e, n, "tau_e")
     tau_u = as_vector(tau_u, n, "tau_u")
-    t = model.chart_terms(x.q, x.theta, x.p, x.s, np.linalg.inv(model.J), model.K, model.D)
+    t = model.chart_terms(x.q, x.theta, x.p, x.s, model.Jinv, model.K, model.D)
     force = tau_e - t.coriolis - t.grad_v if coriolis else tau_e - t.grad_v
     return control_law(g.K_F, g.K_G, g.K_H, force, t.tau_a, tau_u)
 
@@ -278,7 +289,7 @@ def outer_law(phi, phi_dot, o: OuterLoop, model: NonlinearRobotModel) -> np.ndar
 
 def gain_consistency_error(g: ImpedanceGains) -> float:
     """Max-norm deviation of K_H - K_G - K_F from the identity."""
-    return float(np.max(np.abs(g.K_H - g.K_G - g.K_F - np.eye(g.n))))
+    return float(np.abs(g.K_H - g.K_G - g.K_F - np.eye(g.n)).max())
 
 
 def check_gain_consistency(g: ImpedanceGains, sp: ShapedParams, m: RobotModel) -> None:
@@ -288,11 +299,11 @@ def check_gain_consistency(g: ImpedanceGains, sp: ShapedParams, m: RobotModel) -
     both independent of the configuration, to 1e-8 of max(||K_H||_max, 1).
     """
     model = as_model(m, g, sp)
-    scale = max(float(np.max(np.abs(g.K_H))), 1.0)
+    scale = max(float(np.abs(g.K_H).max()), 1.0)
     if gain_consistency_error(g) > 1e-8 * scale:
         raise ConfigurationError(
             f"gain triple violates K_H - K_G - K_F = I by {gain_consistency_error(g):.3e}")
-    err = float(np.max(np.abs(g.K_H - _input_gain(model, sp))))
+    err = float(np.abs(g.K_H - _input_gain(model, sp)).max())
     if err > 1e-8 * scale:
         raise ConfigurationError(
             f"K_H inconsistent with shaped parameters (deviation {err:.3e})")

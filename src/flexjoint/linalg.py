@@ -13,6 +13,11 @@ from .errors import ValidationError
 
 # Cholesky pivot fails below this fraction of the matrix norm.
 SPD_PIVOT_RTOL = 1e-12
+_TINY = np.finfo(float).tiny
+# Largest array, in entries, that a run may ask for: 2^26, 512 MiB of float64,
+# against 1.1e6 for the series of the bundled 100k-step 1-DOF study.  Sizes
+# are checked against it before anything is allocated.
+MAX_ARRAY_ENTRIES = 2 ** 26
 
 
 def as_floats(value, name: str) -> np.ndarray:
@@ -22,17 +27,27 @@ def as_floats(value, name: str) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} has non-numeric entries") from None
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} has non-finite entries")
     return arr
+
+
+def require_entries(entries: float, what: str, err=ValidationError) -> None:
+    """Raise ``err`` naming ``what`` when an array of ``entries`` entries
+    would exceed ``MAX_ARRAY_ENTRIES``."""
+    if not entries <= MAX_ARRAY_ENTRIES:
+        raise err(f"{what} would need {entries:.3g} array entries, above the bound "
+                  f"of {MAX_ARRAY_ENTRIES} (2^26)")
 
 
 def as_matrix(value, n: int, name: str = "matrix") -> np.ndarray:
     """Coerce a scalar, diagonal vector, or square array to an (n, n) float array.
 
     Scalars become ``value * I``; 1-D arrays of length n become diagonal
-    matrices; 2-D input must already be (n, n).
+    matrices; 2-D input must already be (n, n).  An n x n matrix above
+    ``MAX_ARRAY_ENTRIES`` raises ``ValidationError``.
     """
+    require_entries(float(n) * n, f"{name} as a {n:.3g} x {n:.3g} matrix")
     arr = as_floats(value, name)
     if arr.ndim == 0:
         return float(arr) * np.eye(n)
@@ -57,6 +72,12 @@ def as_vector(value, n: int, name: str = "vector") -> np.ndarray:
     return arr.copy()
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, set read-only like the fields of the frozen parameter types."""
+    arr.setflags(write=False)
+    return arr
+
+
 def freeze(obj, names, n: int, coerce=as_matrix) -> None:
     """Replace each named field of a frozen dataclass by its coerced,
     read-only array (``as_matrix`` or ``as_vector``)."""
@@ -75,7 +96,7 @@ def require_joints(n: int, parts, err=ValidationError) -> None:
 
 
 def symmetry_error(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a - a.T))) if a.size else 0.0
+    return float(np.abs(a - a.T).max()) if a.size else 0.0
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
@@ -90,7 +111,7 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
     if a.ndim > 2:
         return _cholesky_stack(a)
     norm = float(np.abs(a).max()) if a.size else 0.0
-    thresh = SPD_PIVOT_RTOL * max(norm, np.finfo(float).tiny)
+    thresh = SPD_PIVOT_RTOL * max(norm, _TINY)
     try:
         L = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -107,8 +128,7 @@ def _cholesky_stack(a: np.ndarray) -> np.ndarray:
     """``cholesky_lower`` of each member of a stack, by one LAPACK call; when
     that call or a pivot fails, the members are checked one by one, and the
     ValueError names the first that fails, also as its ``member``."""
-    thresh = SPD_PIVOT_RTOL * np.maximum(np.abs(a).max(axis=(1, 2), initial=0.0),
-                                         np.finfo(float).tiny)
+    thresh = SPD_PIVOT_RTOL * np.abs(a).max(axis=(1, 2), initial=_TINY)
     try:
         L = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -126,7 +146,7 @@ def _cholesky_stack(a: np.ndarray) -> np.ndarray:
 
 def require_symmetric(a: np.ndarray, name: str, err=ValidationError) -> None:
     """Raise ``err`` when the asymmetry exceeds ``1e-9 max(||a||_max, 1)``."""
-    scale = max(float(np.max(np.abs(a))), 1.0) if a.size else 1.0
+    scale = max(float(np.abs(a).max()), 1.0) if a.size else 1.0
     if not symmetry_error(a) <= 1e-9 * scale:
         raise err(f"{name} is not symmetric (asymmetry {symmetry_error(a):.3e})")
 
@@ -144,9 +164,34 @@ def require_psd(a: np.ndarray, name: str, err=ValidationError) -> None:
     """Check symmetry and positive semidefiniteness; raise ``err`` on failure."""
     require_symmetric(a, name, err)
     w = np.linalg.eigvalsh(0.5 * (a + a.T))
-    scale = max(float(np.max(np.abs(a))), 1.0)
+    scale = max(float(np.abs(a).max()), 1.0)
     if w.size and w[0] < -1e-10 * scale:
         raise err(f"{name} is not positive semidefinite (min eigenvalue {w[0]:.3e})")
+
+
+def require_admissible(entries) -> None:
+    """``require_spd`` or ``require_psd`` of each ``(matrix, name, spd, err)``
+    entry, all matrices of one shape, in one stacked pass: one symmetry
+    reduction, one Cholesky factorization of the SPD entries and one
+    ``eigvalsh`` of the PSD ones, at the same bounds.  When any entry fails,
+    the single checks run in order, so the first failing matrix raises its
+    ``err`` with their message."""
+    a = np.stack([entry[0] for entry in entries])
+    spd = np.array([entry[2] for entry in entries])
+    scale = np.abs(a).max(axis=(1, 2), initial=1.0)        # max(||a||_max, 1)
+    sym = 0.5 * (a + a.mT)
+    ok = (np.abs(a - a.mT).max(axis=(1, 2), initial=0.0) <= 1e-9 * scale).all()
+    if ok and spd.any():
+        try:
+            _cholesky_stack(sym[spd])
+        except ValueError:
+            ok = False
+    if ok and not spd.all():
+        psd = ~spd
+        ok = not (np.linalg.eigvalsh(sym[psd])[:, :1] < -1e-10 * scale[psd, None]).any()
+    if not ok:
+        for matrix, name, is_spd, err in entries:
+            (require_spd if is_spd else require_psd)(matrix, name, err)
 
 
 def min_eigenvalue_sym(a: np.ndarray) -> float:

@@ -43,8 +43,8 @@ from .errors import (
     NotApplicableError,
     ValidationError,
 )
-from .linalg import as_floats, freeze, require_joints, require_psd, require_spd
-from .model import LinearRobotParams
+from .linalg import as_floats, freeze, read_only, require_admissible, require_joints
+from .model import LinearRobotParams, as_model
 from .poly import aberth_roots, poly_from_roots, trim
 
 MAX_TF_STATES = 20
@@ -115,26 +115,19 @@ class RationalTF:
 
     def __post_init__(self):
         for name in ("num", "den"):
-            c = trim(getattr(self, name))
-            c.setflags(write=False)
-            object.__setattr__(self, name, c)
-        if not np.any(self.den):
+            object.__setattr__(self, name, read_only(trim(getattr(self, name))))
+        if not self.den.any():
             raise ValidationError("denominator is identically zero")
         object.__setattr__(self, "cancelled", tuple(self.cancelled))
 
     @cached_property
     def _poles(self) -> np.ndarray:
         # a RootFindingError propagates and leaves nothing cached
-        return _frozen(aberth_roots(self.den))
+        return read_only(aberth_roots(self.den))
 
     @cached_property
     def _zeros(self) -> np.ndarray:
-        return _frozen(aberth_roots(self.num))
-
-
-def _frozen(roots: np.ndarray) -> np.ndarray:
-    roots.setflags(write=False)
-    return roots
+        return read_only(aberth_roots(self.num))
 
 
 @dataclass(frozen=True)
@@ -148,9 +141,9 @@ class EnvironmentImpedance:
 
     def __post_init__(self):
         freeze(self, ("M_h", "D_h", "K_h"), self.n)
-        require_psd(self.M_h, "M_h")
-        require_psd(self.D_h, "D_h")
-        require_psd(self.K_h, "K_h")
+        require_admissible([(self.M_h, "M_h", False, ValidationError),
+                            (self.D_h, "D_h", False, ValidationError),
+                            (self.K_h, "K_h", False, ValidationError)])
 
 
 @dataclass(frozen=True)
@@ -164,9 +157,9 @@ class TargetImpedance:
 
     def __post_init__(self):
         freeze(self, ("M_d", "K_d", "D_d"), self.n)
-        require_spd(self.M_d, "M_d")
-        require_spd(self.K_d, "K_d")
-        require_spd(self.D_d, "D_d")
+        require_admissible([(self.M_d, "M_d", True, ValidationError),
+                            (self.K_d, "K_d", True, ValidationError),
+                            (self.D_d, "D_d", True, ValidationError)])
 
 
 @dataclass(frozen=True)
@@ -202,22 +195,24 @@ def _shaped_loop(m: LinearRobotParams, sp: ShapedParams, outer: OuterLoop | None
     require_joints(n, (sp, outer, env), AssemblyError)
     Z = np.zeros((n, n))
     M_h, D_h, K_h = (Z, Z, Z) if env is None else (env.M_h, env.D_h, env.K_h)
-    try:
-        Minv = np.linalg.inv(m.M + M_h)
-        Jeinv = np.linalg.inv(sp.J_e)
-    except np.linalg.LinAlgError as exc:
-        raise AssemblyError(f"singular inertia block: {exc}") from None
+    if env is None:             # M + 0 is M
+        Minv = as_model(m).Minv
+    else:
+        try:
+            Minv = np.linalg.inv(m.M + M_h)
+        except np.linalg.LinAlgError as exc:
+            raise AssemblyError(f"singular inertia block: {exc}") from None
+    Jeinv, Ke, De = sp.Jeinv, sp.K_e, sp.D_e
 
-    Ke, De = sp.K_e, sp.D_e
-    A = np.block([
-        [Z, Z, Minv, Z],
-        [Z, Z, Z, Jeinv],
-        [-Ke - K_h, Ke, -(De + D_h) @ Minv, De @ Jeinv],
-        [Ke, -Ke, De @ Minv, -De @ Jeinv],
-    ])
+    q, phi, p, z = (slice(k * n, (k + 1) * n) for k in range(4))
+    A = np.zeros((4 * n, 4 * n))
+    A[q, p] = Minv
+    A[phi, z] = Jeinv
+    A[p, q], A[p, phi], A[p, p], A[p, z] = -Ke - K_h, Ke, -(De + D_h) @ Minv, De @ Jeinv
+    A[z, q], A[z, phi], A[z, p], A[z, z] = Ke, -Ke, De @ Minv, -De @ Jeinv
     if outer is not None:
-        A[3 * n:, n:2 * n] -= outer.K_phi
-        A[3 * n:, 3 * n:] -= outer.D_phi @ Jeinv
+        A[z, phi] -= outer.K_phi
+        A[z, z] -= outer.D_phi @ Jeinv
     B = np.vstack([Z, Z, np.eye(n), Z])
     if env is not None:
         B = np.hstack([B, np.vstack([Z, Z, Z, np.eye(n)])])
@@ -250,9 +245,9 @@ def assemble_plant_loop(m: LinearRobotParams, g: ImpedanceGains,
         raise ValidationError("state-space assembly requires a constant-mass plant")
     n = m.n
     require_joints(n, (g, outer), AssemblyError)
+    model = as_model(m)
+    Minv, Jinv = model.Minv, model.Jinv
     try:
-        Minv = np.linalg.inv(m.M)
-        Jinv = np.linalg.inv(m.J)
         Ninv = np.linalg.inv(m.J - g.K_F @ m.M)
     except np.linalg.LinAlgError as exc:
         raise AssemblyError(f"singular inertia block: {exc}") from None
@@ -372,8 +367,8 @@ def ss_to_tf(ss: StateSpace, input_index: int = 0, output_index: int = 0) -> Rat
     # part, and the origin snap maps a pair alike: sorting is all the pairing needed
     poles, zeros = np.sort_complex(poles[k:]), np.sort_complex(zeros[k:])
     tf = RationalTF(poly_from_roots(zeros, g), poly_from_roots(poles), (0j,) * k)
-    object.__setattr__(tf, "_poles", _frozen(poles))
-    object.__setattr__(tf, "_zeros", _frozen(zeros))
+    object.__setattr__(tf, "_poles", read_only(poles))
+    object.__setattr__(tf, "_zeros", read_only(zeros))
     return tf
 
 
@@ -458,7 +453,7 @@ def _modal_response(sys: StateSpace, s: np.ndarray):
             r = b - (sk * x - x @ At)
             ax = np.abs(x)
             tol = RESOLVENT_BACKWARD_ERROR * (np.abs(sk) * ax + ax @ abs_At + abs_b)
-            ok[blk] = np.all(np.abs(r) <= tol, axis=1) & np.all(np.isfinite(x), axis=1)
+            ok[blk] = (np.abs(r) <= tol).all(axis=1) & np.isfinite(x).all(axis=1)
             out[blk] = x @ c + d
     return out, ok
 
@@ -490,7 +485,7 @@ def _resolvent_block(sys: StateSpace, s: np.ndarray) -> np.ndarray:
 def _check_frequencies(omegas) -> np.ndarray:
     """Angular frequencies as a float array; finite and nonnegative, else ValidationError."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if np.any(omegas < 0.0) or not np.all(np.isfinite(omegas)):
+    if (omegas < 0.0).any() or not np.isfinite(omegas).all():
         raise ValidationError("frequencies must be finite and nonnegative")
     return omegas
 
@@ -559,7 +554,7 @@ def positive_real_check(tf: RationalTF, grid=None) -> PassivityVerdict:
 
     re_vals = np.real(evaluate(tf, 1j * grid))
     finite = re_vals[np.isfinite(re_vals)]
-    min_re = float(np.min(finite)) if finite.size else 0.0
+    min_re = float(finite.min()) if finite.size else 0.0
     wmin = float(grid[int(np.argmin(re_vals))]) if finite.size == re_vals.size else None
     if min_re < -loose:
         return PassivityVerdict("not-passive", "negative real part on frequency grid",

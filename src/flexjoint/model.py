@@ -25,16 +25,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateModelError, ValidationError
+from .errors import DegenerateModelError, NotApplicableError, ValidationError
 from .linalg import (
     as_matrix,
     as_vector,
     freeze,
     matvec,
     quad_form,
+    read_only,
+    require_admissible,
     require_joints,
-    require_psd,
-    require_spd,
     solve,
 )
 
@@ -68,10 +68,10 @@ class LinearRobotParams:
         if self.n < 1:
             raise ValidationError(f"joint count must be >= 1, got {self.n}")
         freeze(self, ("M", "J", "K", "D"), self.n)
-        require_spd(self.M, "M")
-        require_spd(self.J, "J")
-        require_spd(self.K, "K")
-        require_psd(self.D, "D")
+        require_admissible([(self.M, "M", True, ValidationError),
+                            (self.J, "J", True, ValidationError),
+                            (self.K, "K", True, ValidationError),
+                            (self.D, "D", False, ValidationError)])
 
     @cached_property
     def _model(self) -> "NonlinearRobotModel":
@@ -111,11 +111,19 @@ def _no_gravity(q):
 
 
 def _constant_mass(M, q):
-    return np.broadcast_to(M, np.shape(q)[:-1] + M.shape)
+    lead = np.shape(q)[:-1]
+    return np.broadcast_to(M, lead + M.shape) if lead else M
 
 
 def _no_dmass(n, q):
     return np.zeros(np.shape(q)[:-1] + (n, n, n))
+
+
+def _invert_mass(M: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateModelError(f"mass matrix is singular: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -128,6 +136,8 @@ class NonlinearRobotModel:
     ``potential_of(q)`` is the gravity potential and ``gravity_grad_of(q)``
     its gradient.  The Coriolis matrix is derived from ``dmass_of`` through
     the Christoffel symbols, which makes ``Mdot - 2 C`` skew-symmetric.
+    The inverses ``Jinv``, ``JKinv`` and, with ``constant_mass``, ``Minv``
+    are computed once, on first use, and are read-only.
 
     All four callables must accept a batch of configurations ``(..., n)``
     and return the matching stack: ``(..., n, n)``, ``(..., n, n, n)``,
@@ -149,9 +159,35 @@ class NonlinearRobotModel:
         if self.n < 1:
             raise ValidationError(f"joint count must be >= 1, got {self.n}")
         freeze(self, ("J", "K", "D"), self.n)
-        require_spd(self.J, "J")
-        require_spd(self.K, "K")
-        require_psd(self.D, "D")
+        require_admissible([(self.J, "J", True, ValidationError),
+                            (self.K, "K", True, ValidationError),
+                            (self.D, "D", False, ValidationError)])
+
+    @cached_property
+    def Jinv(self) -> np.ndarray:
+        """J^-1."""
+        return read_only(np.linalg.inv(self.J))
+
+    @cached_property
+    def JKinv(self) -> np.ndarray:
+        """J K^-1, the left factor of the force-feedback and input gains."""
+        return read_only(self.J @ np.linalg.inv(self.K))
+
+    @cached_property
+    def Minv(self) -> np.ndarray:
+        """M^-1 of a constant-mass model; ``DegenerateModelError`` when M is
+        singular, ``NotApplicableError`` when the mass varies."""
+        if not self.constant_mass:
+            raise NotApplicableError("M^-1 is a constant only for a constant-mass model")
+        return read_only(_invert_mass(self.mass_of(np.zeros(self.n))))
+
+    def inverse_mass(self, q: np.ndarray) -> np.ndarray:
+        """M(q)^-1 of one configuration or of each row of ``(..., n)``; on a
+        constant-mass model ``Minv`` or a read-only stack view of it."""
+        if self.constant_mass:
+            lead = np.shape(q)[:-1]
+            return np.broadcast_to(self.Minv, lead + self.Minv.shape) if lead else self.Minv
+        return _invert_mass(self.mass_of(q))
 
     @classmethod
     def from_linear(cls, params: LinearRobotParams,
@@ -190,12 +226,9 @@ class NonlinearRobotModel:
         return self.link_terms(q, p)[3]
 
     def link_terms(self, q: np.ndarray, p: np.ndarray) -> tuple:
-        """(M(q)^-1, q', C(q, q') q', kinetic gradient) from one inversion of
-        M(q) and one ``dmass_of`` call; one state or each row."""
-        try:
-            Minv = np.linalg.inv(self.mass_of(q))
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateModelError(f"mass matrix is singular: {exc}") from None
+        """(M(q)^-1, q', C(q, q') q', kinetic gradient) from ``inverse_mass``
+        and one ``dmass_of`` call; one state or each row."""
+        Minv = self.inverse_mass(q)
         qdot = matvec(Minv, p)
         if self.constant_mass:
             zero = np.zeros_like(qdot)
@@ -294,7 +327,7 @@ def open_loop_field(x: OpenLoopState, tau_e, tau, m: RobotModel) -> OpenLoopStat
     n = model.n
     tau_e = as_vector(tau_e, n, "tau_e")
     tau = as_vector(tau, n, "tau")
-    terms = model.chart_terms(x.q, x.theta, x.p, x.s, np.linalg.inv(model.J), model.K, model.D)
+    terms = model.chart_terms(x.q, x.theta, x.p, x.s, model.Jinv, model.K, model.D)
     return OpenLoopState(terms.qdot, terms.adot, *terms.rates(tau_e, tau))
 
 

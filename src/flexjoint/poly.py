@@ -62,13 +62,15 @@ def _pair_conjugates(roots):
 def poly_from_roots(roots, leading: float = 1.0) -> np.ndarray:
     """Real polynomial with the given roots; conjugate pairs are multiplied
     as real quadratics so no imaginary residue leaks into the coefficients.
-    A complex root without a conjugate partner raises ``ValidationError``."""
+    A zero ``leading`` gives the zero polynomial ``[0.0]``.  A complex root
+    without a conjugate partner raises ``ValidationError``."""
     out = np.array([float(leading)])
     for re, im in _pair_conjugates(np.asarray(roots, dtype=complex).tolist()):
         if im is None:
             raise ValidationError(f"unpaired complex root {re}")
-        out = P.polymul(out, [-re, 1.0] if im == 0.0 else [re * re + im * im, -2.0 * re, 1.0])
-    return out
+        # each factor is monic, so the top coefficient stays ``leading``
+        out = np.convolve(out, [-re, 1.0] if im == 0.0 else [re * re + im * im, -2.0 * re, 1.0])
+    return out if out[-1] != 0.0 else np.zeros(1)
 
 
 def _aberth_iterate(c: np.ndarray, z: np.ndarray) -> np.ndarray:

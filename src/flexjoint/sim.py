@@ -41,7 +41,7 @@ from .control import (
     recover_shaped,
 )
 from .errors import DegenerateModelError, DivergenceError, ValidationError
-from .linalg import as_matrix, as_vector, matvec, pencil_max_frequency, quad_form
+from .linalg import as_matrix, as_vector, matvec, pencil_max_frequency, quad_form, require_entries
 from .lti import EnvironmentImpedance
 from .model import (
     LinearRobotParams,
@@ -190,6 +190,7 @@ def integrate(field, x0, dt: float, T: float):
         raise ValidationError("dt must be positive and finite")
     if not dt <= T < math.inf:
         raise ValidationError("horizon T must be finite and at least one step")
+    _require_run_size(T, dt, x0.shape[0])
     nsteps = int(round(T / dt))
     out = np.empty((nsteps + 1, x0.shape[0]))
     out[0] = x0
@@ -203,7 +204,7 @@ def integrate(field, x0, dt: float, T: float):
         k3 = field(t + half, x + half * k2)
         k4 = field(t + dt, x + dt * k3)
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise _divergence((k + 1) * dt)
         out[k + 1] = x
     return dt * np.arange(nsteps + 1), out
@@ -211,6 +212,13 @@ def integrate(field, x0, dt: float, T: float):
 
 def _divergence(time: float) -> DivergenceError:
     return DivergenceError(f"state became non-finite at t={time:.6g} s", time=time)
+
+
+def _require_run_size(T: float, dt: float, columns: int) -> None:
+    """Refuse, before anything is allocated, a run whose series of
+    ``T / dt + 1`` rows and ``columns`` columns exceeds ``MAX_ARRAY_ENTRIES``."""
+    steps = T / dt
+    require_entries((steps + 1.0) * columns, f"a run of {steps:.3g} steps x {columns} columns")
 
 
 @dataclass(frozen=True)
@@ -256,9 +264,10 @@ def _resolve(sc: Scenario, need_controller: bool = False) -> _Resolved:
     return _Resolved(model, x0, shaped, K_H, cap)
 
 
-def _step(sc: Scenario, cap: float) -> float:
+def _step(sc: Scenario, cap: float, n: int) -> float:
     """The scenario's step, or a default below ``cap``, checked against the
-    cap and the horizon."""
+    cap, the horizon and, for the ``len(_Series._fields) * n`` recorded
+    columns of an n-joint run, the run-size bound."""
     dt = sc.dt if sc.dt is not None else _default_dt(cap)
     if not 0.0 < dt < math.inf:
         raise ValidationError("dt must be positive and finite")
@@ -268,6 +277,7 @@ def _step(sc: Scenario, cap: float) -> float:
             f"(margin {STABILITY_MARGIN:g} over the fastest elastic mode)")
     if sc.T < dt:
         raise ValidationError("horizon T must be at least one step")
+    _require_run_size(sc.T, dt, len(_Series._fields) * n)
     return dt
 
 
@@ -308,7 +318,7 @@ def _dt_cap(model: NonlinearRobotModel, q0: np.ndarray, shaped: ShapedParams | N
             K_link, -K, -K, K_motor
         mass[j, :n, :n], mass[j, n:, n:] = M_link, J_motor
     try:
-        wmax = float(np.max(pencil_max_frequency(stiff, mass)))
+        wmax = float(pencil_max_frequency(stiff, mass).max())
     except ValueError as exc:
         raise DegenerateModelError(
             f"stability cap: mass matrix {pencils[exc.member][-1]} is not positive definite "
@@ -372,11 +382,11 @@ def _simulate(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
     on the sample matrix; on a constant-mass plant both are affine and
     ``_propagate`` applies the exact RK4 step matrix.
     """
-    dt = _step(sc, r.cap)
     model, shaped, outer, env, signal = r.model, r.shaped, sc.outer, sc.environment, sc.input
     n = model.n
+    dt = _step(sc, r.cap, n)
     K, J_e, K_e = model.K, shaped.J_e, shaped.K_e
-    Jinv, Jeinv = np.linalg.inv(model.J), np.linalg.inv(J_e)
+    Jinv, Jeinv = model.Jinv, shaped.Jeinv
     to_shaped, to_plant = np.linalg.solve(K_e, K), np.linalg.solve(K, K_e)
     K_H = r.K_H
     gains_at_mass = configuration_gains(model, K_e, K_H)
@@ -474,8 +484,9 @@ def _propagate(field, series, power, x0, signal: InputSignal, h: float, T: float
     on z = (x, u(t), u(t + h/2), u(t + h), 1): stage i evaluates the field
     at w_i = W_i z, so x+ = P x + R e with e = z[m:] (the same numbers as
     four field evaluations, up to rounding), and the supply increment is
-    the RK4-weighted ``power`` of the stage series.  ``_scan`` runs the
-    recurrence x+ = P x + R e by recursive doubling.
+    the RK4-weighted ``power`` of the three stage series it reads, from
+    their columns of L alone.  ``_scan`` runs the recurrence
+    x+ = P x + R e by recursive doubling.
     """
     m = x0.shape[0]
     n = m // 4
@@ -509,14 +520,16 @@ def _propagate(field, series, power, x0, signal: InputSignal, h: float, T: float
     exo = np.hstack([signal.torque_series(t[:-1] + d, n) for d in (0.0, 0.5 * h, h)]
                     + [np.ones((nsteps, 1))])
     states = _scan(step[:, :m], x0, exo @ step[:, m:].T)
-    # the series and the input at the four stages of every step, side by side
-    stage_cols = np.hstack([np.hstack([Wz.T @ L, Wz[m:m + n].T]) for Wz in stages])
-    at_stages = (np.hstack([states[:-1], exo]) @ stage_cols).reshape(nsteps, 4, -1, n)
-    sr = _Series(*np.moveaxis(at_stages[:, :, :-1], 2, 0))
-    rate = power(sr.qdot, sr.phidot, sr.tau_u, at_stages[:, :, -1]) @ weights
+    # the series that power reads, qdot, phidot and tau_u (adjacent in _Series),
+    # and the input, at the four stages of every step, side by side
+    first = _Series._fields.index("qdot")
+    L_power = L[:, first * n:(first + 3) * n]
+    stage_cols = np.hstack([np.hstack([Wz.T @ L_power, Wz[m:m + n].T]) for Wz in stages])
+    at_stages = (np.hstack([states[:-1], exo]) @ stage_cols).reshape(nsteps, 4, 4, n)
+    rate = power(*np.moveaxis(at_stages, 2, 0)) @ weights
     supply = np.append(0.0, np.cumsum(rate))
     # like integrate, flag the first non-finite state after the start
-    diverged = ~(np.all(np.isfinite(states[1:]), axis=1) & np.isfinite(supply[1:]))
+    diverged = ~(np.isfinite(states[1:]).all(axis=1) & np.isfinite(supply[1:]))
     if diverged.any():
         raise _divergence(float(t[1 + np.argmax(diverged)]))
     W = np.hstack([states, signal.torque_series(t, n), np.ones((t.shape[0], 1))])
@@ -579,7 +592,7 @@ def passivity_audit(result: SimResult) -> float:
     held: stored energy never exceeded the initial energy plus the
     supplied work.
     """
-    return float(np.max(result.passivity_residual))
+    return float(result.passivity_residual.max())
 
 
 def l2_distance(t: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

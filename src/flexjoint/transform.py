@@ -111,7 +111,7 @@ def closed_loop_field(y: ClosedLoopState, tau_e, tau_u, sp: ShapedParams,
     n = model.n
     tau_e = as_vector(tau_e, n, "tau_e")
     tau_u = as_vector(tau_u, n, "tau_u")
-    terms = model.chart_terms(y.q, y.phi, y.p, y.z, np.linalg.inv(sp.J_e), sp.K_e, sp.D_e)
+    terms = model.chart_terms(y.q, y.phi, y.p, y.z, sp.Jeinv, sp.K_e, sp.D_e)
     return ClosedLoopState(terms.qdot, terms.adot, *terms.rates(tau_e, tau_u))
 
 
@@ -148,7 +148,7 @@ def equivalence_residual(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains,
 
     # on a constant-mass plant C = 0, so this is linear_control with g
     gains = g if model.constant_mass else gains_at(model, sp, x.q)
-    t = model.chart_terms(x.q, x.theta, x.p, x.s, np.linalg.inv(model.J), model.K, model.D)
+    t = model.chart_terms(x.q, x.theta, x.p, x.s, model.Jinv, model.K, model.D)
     tau = control_law(gains.K_F, gains.K_G, gains.K_H, tau_e - t.coriolis - t.grad_v,
                       t.tau_a, tau_u)
     xv = x.pack()
@@ -158,7 +158,7 @@ def equivalence_residual(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains,
     y = _chart_map(xv + np.arange(-2.0, 3.0)[:, None] * h * dx, sp, model)
     dy_pushed = (y[0] - 8.0 * y[1] + 8.0 * y[3] - y[4]) / (12.0 * h)
     q, phi, p, z = (y[2, k * n:(k + 1) * n] for k in range(4))
-    ts = model.chart_terms(q, phi, p, z, np.linalg.inv(sp.J_e), sp.K_e, sp.D_e)
+    ts = model.chart_terms(q, phi, p, z, sp.Jeinv, sp.K_e, sp.D_e)
     dy_shaped = np.concatenate([ts.qdot, ts.adot, *ts.rates(tau_e, tau_u)])
-    scale = max(float(np.max(np.abs(dy_shaped))), RESIDUAL_FLOOR)
-    return float(np.max(np.abs(dy_pushed - dy_shaped))) / scale
+    scale = max(float(np.abs(dy_shaped).max()), RESIDUAL_FLOOR)
+    return float(np.abs(dy_pushed - dy_shaped).max()) / scale

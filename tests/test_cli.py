@@ -445,6 +445,26 @@ class TestEntryPoint:
         assert code == EXIT_INFEASIBLE
         assert err.count("\n") == 1 and err.startswith("error: ") and fragment in err, err
 
+    @pytest.mark.parametrize("command, options, edit, fragment", [
+        ("bode", ["--grid-points", str(2 ** 55)], None,
+         "bode.csv of 10 systems x 3.6e+16 grid points would need 1.8e+18 array entries"),
+        ("simulate", [], ("T = 0.05", "T = 1e12"),
+         "a run of 5e+16 steps x 11 columns would need 5.5e+17 array entries"),
+        ("simulate", ["--dt", "1e-300"], None,
+         "a run of 5e+298 steps x 11 columns would need 5.5e+299 array entries"),
+        ("synth", [], ("\nn = 1\n", "\nn = 1e300\n"),
+         "[plant] M as a 1e+300 x 1e+300 matrix would need inf array entries"),
+    ], ids=["bode_grid", "sim_horizon", "sim_dt", "plant_joints"])
+    def test_oversized_runs_are_refused_before_allocating(self, tmp_path, capsys, command,
+                                                          options, edit, fragment):
+        path = tmp_path / "study.cfg"
+        path.write_text(FAST_SIM if edit is None else FAST_SIM.replace(*edit), encoding="utf-8")
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out"), *options])
+        err = capsys.readouterr().err
+        assert code == EXIT_INFEASIBLE
+        assert err.count("\n") == 1 and err.startswith("error: ") and fragment in err, err
+        assert err.endswith("above the bound of 67108864 (2^26)\n"), err
+
 
 def test_bundled_study_configs_parse():
     cfg = parse_config(ONEDOF_STUDY)

@@ -136,43 +136,91 @@ class TestShapedParams:
 
 
 class TestChecksRunOnce:
-    """Each admissibility check runs once, in ShapedParams, and nothing
-    downstream of a built ShapedParams re-synthesizes the gains."""
+    """Each admissibility check runs once, in ShapedParams, as one stacked
+    pass over J_e, K_e and D_e, and nothing downstream of a built
+    ShapedParams re-synthesizes the gains."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"spd": 0, "psd": 0, "synth": 0}
+        counts = {"checked": [], "synth": 0}
+        stacked = flexjoint.control.require_admissible
 
-        def counting(key, fn):
-            def wrapped(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapped
+        def checked(entries):
+            counts["checked"].append(tuple((name, spd) for _, name, spd, _ in entries))
+            return stacked(entries)
 
-        monkeypatch.setattr(flexjoint.control, "require_spd",
-                            counting("spd", flexjoint.control.require_spd))
-        monkeypatch.setattr(flexjoint.control, "require_psd",
-                            counting("psd", flexjoint.control.require_psd))
-        synth = counting("synth", flexjoint.control.synthesize_gains)
+        def synth(*args, **kwargs):
+            counts["synth"] += 1
+            return synthesize_gains(*args, **kwargs)
+
+        monkeypatch.setattr(flexjoint.control, "require_admissible", checked)
         monkeypatch.setattr(flexjoint.control, "synthesize_gains", synth)
         monkeypatch.setattr(flexjoint.sim, "synthesize_gains", synth, raising=False)
         return counts
 
+    SHAPING = [(("J_e", True), ("K_e", True), ("D_e", False))]
+
     def test_synthesize_gains(self, paper_plant, counts):
         synthesize_gains(paper_plant, 1.5, 5e5)
-        assert (counts["spd"], counts["psd"]) == (2, 1)
+        assert counts["checked"] == self.SHAPING
 
     def test_recover_shaped(self, paper_plant, counts):
         recover_shaped(paper_plant, 0.9, 4.0)
-        assert (counts["spd"], counts["psd"]) == (2, 1)
+        assert counts["checked"] == self.SHAPING
 
     def test_built_shaping_is_used_as_given(self, demo_arm, counts):
         _, sp = synthesize_gains(demo_arm, 0.5 * np.eye(2), 2.0 * demo_arm.K)
-        counts.update(spd=0, psd=0, synth=0)
+        counts.update(checked=[], synth=0)
         gains_at(demo_arm, sp, np.array([0.3, 1.1]))
         simulate_plant_with_controller(Scenario(plant=demo_arm, controller=sp,
                                                 T=1e-3, dt=5e-5))
-        assert counts == {"spd": 0, "psd": 0, "synth": 0}
+        assert counts == {"checked": [], "synth": 0}
+
+    def test_one_factorization_per_shaping(self, monkeypatch):
+        calls = {"cholesky": 0, "eigvalsh": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(np.linalg, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        ShapedParams(np.diag([2.0, 1.0]), np.array([[3.0, 1.0], [1.0, 2.0]]), np.eye(2))
+        assert calls == {"cholesky": 1, "eigvalsh": 1}
+
+
+GOOD = np.array([[2.0, 0.5], [0.5, 1.0]])
+INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])
+ASYMMETRIC = np.array([[1.0, 0.5], [0.0, 1.0]])
+NEAR_SINGULAR = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
+
+
+@pytest.mark.parametrize("J_e, K_e, D_e, name, message", [
+    (INDEFINITE, GOOD, GOOD, "J_e",
+     "J_e is not positive definite (nonpositive pivot, threshold 2.000e-12)"),
+    (GOOD, ASYMMETRIC, GOOD, "K_e", "K_e is not symmetric (asymmetry 5.000e-01)"),
+    (GOOD, NEAR_SINGULAR, GOOD, "K_e",
+     "K_e is not positive definite (pivot 9.992e-15 below threshold 1.000e-12 at index 1)"),
+    (GOOD, GOOD, -np.eye(2), "D_e",
+     "D_e is not positive semidefinite (min eigenvalue -1.000e+00)"),
+    (GOOD, GOOD, ASYMMETRIC, "D_e", "D_e is not symmetric (asymmetry 5.000e-01)"),
+    (INDEFINITE, ASYMMETRIC, -np.eye(2), "J_e",
+     "J_e is not positive definite (nonpositive pivot, threshold 2.000e-12)"),
+    (GOOD, NEAR_SINGULAR, ASYMMETRIC, "K_e",
+     "K_e is not positive definite (pivot 9.992e-15 below threshold 1.000e-12 at index 1)"),
+], ids=["J_e", "K_e_asymmetric", "K_e_pivot", "D_e", "D_e_asymmetric", "all_three",
+        "K_e_and_D_e"])
+def test_stacked_check_reports_the_first_failure(J_e, K_e, D_e, name, message):
+    # the messages of the checks made one matrix at a time, in the order J_e, K_e, D_e
+    with pytest.raises(ShapingInfeasibleError) as exc:
+        ShapedParams(J_e, K_e, D_e)
+    assert (exc.value.matrix_name, str(exc.value)) == (name, message)
+
+
+def test_inverse_of_J_e_is_cached_and_read_only():
+    sp = ShapedParams(np.array([[3.0, 1.0], [1.0, 2.0]]), np.eye(2), np.eye(2))
+    assert sp.Jeinv is sp.Jeinv
+    assert np.array_equal(sp.Jeinv, np.linalg.inv(sp.J_e))
+    with pytest.raises(ValueError):
+        sp.Jeinv[0, 0] = 1.0
 
 
 class TestColgateInterval:

@@ -5,11 +5,13 @@ import types
 import numpy as np
 import pytest
 
+from conftest import rand_plant
 from flexjoint import (
     ClosedLoopState,
     DegenerateModelError,
     LinearRobotParams,
     NonlinearRobotModel,
+    NotApplicableError,
     OpenLoopState,
     ShapedParams,
     ValidationError,
@@ -207,14 +209,44 @@ class TestEnergyConsistency:
         assert max(abs(h - H0) for h in H) <= 1e-8 * scale
 
 
-def _zero_mass_model(n=2):
-    """A two-joint varying-mass model, declared with ``n`` joints, whose M(q) is zero."""
+def _zero_mass_model(n=2, constant_mass=False):
+    """A two-joint model, declared with ``n`` joints, whose M(q) is zero."""
     return NonlinearRobotModel(
         n=n, mass_of=lambda q: np.zeros(np.shape(q)[:-1] + (2, 2)),
         dmass_of=lambda q: np.zeros(np.shape(q)[:-1] + (2, 2, 2)),
         potential_of=lambda q: np.zeros(np.shape(q)[:-1]),
         gravity_grad_of=lambda q: np.zeros(np.shape(q)),
-        J=np.eye(2), K=np.eye(2), D=np.eye(2))
+        J=np.eye(2), K=np.eye(2), D=np.eye(2), constant_mass=constant_mass)
+
+
+class TestDerivedInverses:
+    """Each model's inverses are computed once, read-only, with the bits of
+    the direct ``np.linalg.inv`` form."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_cached_inverses_equal_the_direct_form(self, n):
+        plant = rand_plant(np.random.default_rng(n), n)
+        model = as_model(plant)
+        direct = {"Jinv": np.linalg.inv(plant.J),
+                  "JKinv": plant.J @ np.linalg.inv(plant.K),
+                  "Minv": np.linalg.inv(plant.M)}
+        for name, expected in direct.items():
+            cached = getattr(model, name)
+            assert getattr(model, name) is cached
+            assert np.array_equal(cached, expected), name
+            with pytest.raises(ValueError):
+                cached[0, 0] = 1.0
+
+    def test_constant_mass_inverse_is_a_read_only_view(self, paper_plant):
+        model = as_model(paper_plant)
+        Minv = model.link_terms(np.zeros((3, 1)), np.ones((3, 1)))[0]
+        assert Minv.shape == (3, 1, 1) and not Minv.flags.writeable
+        assert np.shares_memory(Minv, model.Minv)
+
+    def test_varying_mass_is_inverted_at_each_state(self, demo_arm):
+        q = np.array([[0.1, 0.2], [0.4, 1.3]])
+        assert np.array_equal(demo_arm.inverse_mass(q), np.linalg.inv(demo_arm.mass_of(q)))
+        assert np.array_equal(demo_arm.Jinv, np.linalg.inv(demo_arm.J))
 
 
 class TestValidation:
@@ -230,12 +262,20 @@ class TestValidation:
          ValidationError, "provide both potential_of and gravity_grad_of, or neither"),
         (lambda: _zero_mass_model().link_terms(np.zeros(2), np.ones(2)),
          DegenerateModelError, "mass matrix is singular"),
+        (lambda: _zero_mass_model(constant_mass=True).link_terms(np.zeros(2), np.ones(2)),
+         DegenerateModelError, "mass matrix is singular"),
+        (lambda: open_loop_field(OpenLoopState.zero(2), 0.0, 0.0,
+                                 _zero_mass_model(constant_mass=True)),
+         DegenerateModelError, "mass matrix is singular"),
+        (lambda: _zero_mass_model().Minv, NotApplicableError,
+         "M^-1 is a constant only for a constant-mass model"),
         (lambda: OpenLoopState.unpack(np.zeros(3), 1), ValidationError,
          "state vector: expected shape (4,), got (3,)"),
         (lambda: as_matrix(np.zeros((1, 1, 1)), 1, "M"), ValidationError,
          "M: too many dimensions (3)"),
     ], ids=["linear_n0", "nonlinear_n0", "only_potential", "only_gravity_grad",
-            "singular_mass", "unpack_shape", "matrix_3d"])
+            "singular_mass", "singular_constant_mass", "singular_constant_mass_field",
+            "varying_mass_has_no_Minv", "unpack_shape", "matrix_3d"])
     def test_invalid_arguments_are_rejected(self, call, error, fragment):
         with pytest.raises(error, match=re.escape(fragment)):
             call()

@@ -98,6 +98,32 @@ def test_conjugate_within_tolerance_is_paired():
     assert c == pytest.approx([13.0, 9.0, -3.0, 1.0], rel=1e-9)
 
 
+@pytest.mark.parametrize("roots", [[], [1.0, -2.0], [1.0 + 2.0j, 1.0 - 2.0j, 3.0]],
+                         ids=["no_roots", "real", "pair"])
+def test_zero_leading_gives_the_zero_polynomial(roots):
+    assert np.array_equal(poly_from_roots(roots, 0.0), [0.0])
+
+
+def test_products_have_the_bits_of_polymul():
+    # the factor-by-factor product through numpy's polymul is the reference
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        roots, factors = [], []
+        for _ in range(int(rng.integers(0, 6))):
+            re, im = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), 2)
+            if rng.random() < 0.5:
+                roots.append(complex(re))
+                factors.append([-re, 1.0])
+            else:
+                roots += [complex(re, im), complex(re, -im)]
+                factors.append([re * re + im * im, -2.0 * re, 1.0])
+        leading = float(rng.normal())
+        expected = np.array([leading])
+        for factor in factors:
+            expected = P.polymul(expected, factor)
+        assert poly_from_roots(roots, leading).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("roots", [
     [1.0 + 1.0j], [1.0 + 1.0j, 1.0 - 1.0j, 5.0j], [-1.0, 2.0 - 3.0j, -4.0],
     [2.0 + 3.0j, 2.0 - 3.0000001j],
