@@ -39,6 +39,7 @@ from .errors import (
     NotApplicableError,
     ParametrizationSingularError,
     ShapingInfeasibleError,
+    TransformSingularError,
     ValidationError,
 )
 from .linalg import (
@@ -110,6 +111,56 @@ class ImpedanceGains:
 
 
 @dataclass(frozen=True)
+class ShapedLoop:
+    """A plant under a shaping, the one owner of the matrices relating them:
+    ``S = K_e^-1 K`` (theta to phi), ``Sinv = K^-1 K_e``, ``K_H = J K^-1 K_e
+    J_e^-1`` and the configuration ``gains``, each computed once and read-only.
+    Built with ``given`` gains, it checks them against the shaping
+    (``ConfigurationError``) and ``K_H`` is theirs; ``as_model`` checks joints."""
+
+    model: NonlinearRobotModel
+    shaped: ShapedParams
+    given: ImpedanceGains | None = None
+
+    def __post_init__(self):
+        g = self.given
+        if g is None:
+            return
+        scale = max(float(np.abs(g.K_H).max()), 1.0)
+        if gain_consistency_error(g) > 1e-8 * scale:
+            raise ConfigurationError(
+                f"gain triple violates K_H - K_G - K_F = I by {gain_consistency_error(g):.3e}")
+        err = float(np.abs(g.K_H - ShapedLoop(self.model, self.shaped).K_H).max())
+        if err > 1e-8 * scale:
+            raise ConfigurationError(
+                f"K_H inconsistent with shaped parameters (deviation {err:.3e})")
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        return read_only(solve(self.shaped.K_e, self.model.K, "K_e", TransformSingularError))
+
+    @cached_property
+    def Sinv(self) -> np.ndarray:
+        return read_only(solve(self.model.K, self.shaped.K_e, "K", TransformSingularError))
+
+    @cached_property
+    def K_H(self) -> np.ndarray:
+        if self.given is not None:
+            return self.given.K_H
+        return read_only(self.model.JKinv @ self.shaped.K_e @ self.shaped.Jeinv)
+
+    @cached_property
+    def _F(self) -> np.ndarray:       # K_F M(q) = -J K^-1 (K_e - K)
+        return read_only(-self.model.JKinv @ (self.shaped.K_e - self.model.K))
+
+    def gains(self, Minv: np.ndarray):
+        """(K_F, K_G) at M(q)^-1, one matrix or a stack: K_F = -J K^-1
+        (K_e - K) M(q)^-1 and K_G = K_H - K_F - I."""
+        K_F = self._F @ Minv
+        return K_F, self.K_H - K_F - np.eye(self.model.n)
+
+
+@dataclass(frozen=True)
 class OuterLoop:
     """Outer position loop tau_u = -K_phi (phi - phi_d) - D_phi phi' + gbar(phi)."""
 
@@ -166,26 +217,9 @@ def synthesize_gains(m: RobotModel, J_e, K_e, q_ref=None):
     return gains_at(model, shaped, q_ref), shaped
 
 
-def _input_gain(model: NonlinearRobotModel, sp: ShapedParams) -> np.ndarray:
-    """K_H = J K^-1 K_e J_e^-1, independent of the configuration."""
-    return model.JKinv @ sp.K_e @ sp.Jeinv
-
-
-def configuration_gains(m: NonlinearRobotModel, K_e: np.ndarray, K_H: np.ndarray):
-    """The gains as a function of M(q)^-1 (one matrix or a stack), returning
-    K_F = -J K^-1 (K_e - K) M(q)^-1 and K_G = K_H - K_F - I."""
-    F = -m.JKinv @ (K_e - m.K)
-    eye = np.eye(m.n)
-
-    def at(Minv):
-        K_F = F @ Minv
-        return K_F, K_H - K_F - eye
-    return at
-
-
 def gains_at(m: RobotModel, sp: ShapedParams, q) -> ImpedanceGains:
-    """Gains consistent with the instantaneous mass matrix M(q): ``configuration_gains``
-    at M(q)^-1 and K_H = J K^-1 K_e J_e^-1, with ``sp`` used as built.
+    """Gains consistent with the instantaneous mass matrix M(q): the
+    ``ShapedLoop`` gains at M(q)^-1 and its K_H, with ``sp`` used as built.
 
     On a constant-mass plant this is independent of ``q`` and equals the
     ``synthesize_gains`` result; on a varying-mass plant the force-feedback
@@ -193,10 +227,9 @@ def gains_at(m: RobotModel, sp: ShapedParams, q) -> ImpedanceGains:
     loop exact along trajectories.
     """
     model = as_model(m, sp)
-    K_H = _input_gain(model, sp)
-    Minv = model.inverse_mass(_reference_q(model, q))
-    K_F, K_G = configuration_gains(model, sp.K_e, K_H)(Minv)
-    return ImpedanceGains(K_F, K_G, K_H)
+    loop = ShapedLoop(model, sp)
+    K_F, K_G = loop.gains(model.inverse_mass(_reference_q(model, q)))
+    return ImpedanceGains(K_F, K_G, loop.K_H)
 
 
 def recover_shaped(m: RobotModel, K_F, K_G, q_ref=None) -> ShapedParams:
@@ -298,12 +331,4 @@ def check_gain_consistency(g: ImpedanceGains, sp: ShapedParams, m: RobotModel) -
     Checks the identity K_H - K_G - K_F = I and K_H = J K^-1 K_e J_e^-1,
     both independent of the configuration, to 1e-8 of max(||K_H||_max, 1).
     """
-    model = as_model(m, g, sp)
-    scale = max(float(np.abs(g.K_H).max()), 1.0)
-    if gain_consistency_error(g) > 1e-8 * scale:
-        raise ConfigurationError(
-            f"gain triple violates K_H - K_G - K_F = I by {gain_consistency_error(g):.3e}")
-    err = float(np.abs(g.K_H - _input_gain(model, sp)).max())
-    if err > 1e-8 * scale:
-        raise ConfigurationError(
-            f"K_H inconsistent with shaped parameters (deviation {err:.3e})")
+    ShapedLoop(as_model(m, g, sp), sp, g)

@@ -335,7 +335,8 @@ def ss_to_tf(ss: StateSpace, input_index: int = 0, output_index: int = 0) -> Rat
     poly_from_roots(zeros)``, ``den = poly_from_roots(poles)``, and the
     function keeps both root sets, so ``poles_zeros`` and
     ``positive_real_check`` find no roots.  Refused above ``MAX_TF_STATES``
-    states, where expanded coefficients lose too much precision; evaluate
+    states, where expanded coefficients lose too much precision, and when a
+    product on the way overflows float64 (``AssemblyError`` both); evaluate
     the resolvent at the frequencies of interest.
     """
     if ss.n_states > MAX_TF_STATES:
@@ -347,18 +348,20 @@ def ss_to_tf(ss: StateSpace, input_index: int = 0, output_index: int = 0) -> Rat
     A, b, c = ss.A, ss.B[:, input_index], ss.C[output_index]
     g = float(ss.Dmat[output_index, input_index])
     zeros = np.empty(0)
-    if g != 0.0:
-        zeros = np.linalg.eigvals(A - np.outer(b, c) / g)
-    else:
-        rows = [c]          # c A^k, k < r
-        for _ in range(ss.n_states):
-            g = float(rows[-1] @ b)
-            if g != 0.0:
-                V = np.linalg.svd(np.array(rows))[2][len(rows):].T
-                zeros = np.linalg.eigvals(V.T @ (A - np.outer(b, rows[-1] @ A) / g) @ V)
-                break
-            rows.append(rows[-1] @ A)
-    tol = _ORIGIN_RTOL * np.linalg.norm(A)
+    with np.errstate(over="ignore", invalid="ignore"):     # _finite refuses what overflows
+        if g != 0.0:
+            zeros = np.linalg.eigvals(_finite(A - np.outer(b, c) / g, "A - b c / d"))
+        else:
+            rows = [c]          # c A^k, k < r; a non-finite row makes its g non-finite
+            for _ in range(ss.n_states):
+                g = float(_finite(rows[-1] @ b, "c A^k b"))
+                if g != 0.0:
+                    V = np.linalg.svd(np.array(rows))[2][len(rows):].T
+                    Z = V.T @ (A - np.outer(b, rows[-1] @ A) / g) @ V
+                    zeros = np.linalg.eigvals(_finite(Z, "the zero dynamics"))
+                    break
+                rows.append(rows[-1] @ A)
+        tol = _ORIGIN_RTOL * _finite(np.linalg.norm(A), "||A||_F")
     # the roots at the origin first, set to 0; k of them cancel
     poles, zeros = (sorted((0j if abs(r) <= tol else complex(r) for r in roots), key=abs)
                     for roots in (np.linalg.eigvals(A), zeros))
@@ -370,6 +373,15 @@ def ss_to_tf(ss: StateSpace, input_index: int = 0, output_index: int = 0) -> Rat
     object.__setattr__(tf, "_poles", read_only(poles))
     object.__setattr__(tf, "_zeros", read_only(zeros))
     return tf
+
+
+def _finite(value, what: str):
+    """``value`` when every entry is finite, else ``AssemblyError``: an
+    overflowed product carries no digits, and LAPACK refuses it."""
+    if not np.isfinite(value).all():
+        raise AssemblyError(f"transfer function: {what} overflows float64; rescale the "
+                            "plant or evaluate the response from the state-space form")
+    return value
 
 
 def evaluate(sys, svals) -> np.ndarray:

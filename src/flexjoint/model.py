@@ -363,15 +363,23 @@ def two_link_arm(link_lengths, link_masses, motor_inertias, joint_stiffness,
     if min(l1, l2, m1, m2) <= 0.0:
         raise ValidationError("link lengths and masses must be positive")
     lc1, lc2 = 0.5 * l1, 0.5 * l2
-    I1, I2 = m1 * l1 ** 2 / 12.0, m2 * l2 ** 2 / 12.0
 
     Jm = as_matrix(motor_inertias, 2, "motor_inertias")
     if np.any(np.diag(Jm) <= 0.0):
         raise ValidationError("motor inertias must be positive")
 
-    a = I1 + I2 + m1 * lc1 ** 2 + m2 * (l1 ** 2 + lc2 ** 2)
-    b = m2 * l1 * lc2
-    d = I2 + m2 * lc2 ** 2
+    try:        # a float ** raises on overflow, where a float * gives inf
+        I1, I2 = m1 * l1 ** 2 / 12.0, m2 * l2 ** 2 / 12.0
+        a = I1 + I2 + m1 * lc1 ** 2 + m2 * (l1 ** 2 + lc2 ** 2)
+        b = m2 * l1 * lc2
+        d = I2 + m2 * lc2 ** 2
+        g1, g2 = (m1 * lc1 + m2 * l1) * 9.81, m2 * lc2 * 9.81
+        finite = np.isfinite([a, b, d, g1, g2]).all()
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValidationError(f"link_lengths {[l1, l2]} and link_masses {[m1, m2]} give "
+                              "link inertias or gravity torques that overflow float64")
     # M(q) = M0 + cos(q2) M1 and dM/dq2 = -sin(q2) M1
     M0 = np.array([[a, d], [d, d]])
     M1 = np.array([[2.0 * b, b], [b, 0.0]])
@@ -384,9 +392,6 @@ def two_link_arm(link_lengths, link_masses, motor_inertias, joint_stiffness,
         return np.sin(q[..., 1])[..., None, None, None] * dM1
 
     if gravity:
-        g1 = (m1 * lc1 + m2 * l1) * 9.81
-        g2 = m2 * lc2 * 9.81
-
         def potential_of(q):
             return g1 * np.sin(q[..., 0]) + g2 * np.sin(q[..., 0] + q[..., 1])
 

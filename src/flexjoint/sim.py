@@ -32,10 +32,8 @@ import numpy as np
 from .control import (
     ImpedanceGains,
     OuterLoop,
+    ShapedLoop,
     ShapedParams,
-    _input_gain,
-    check_gain_consistency,
-    configuration_gains,
     control_law,
     outer_law,
     recover_shaped,
@@ -221,24 +219,16 @@ def _require_run_size(T: float, dt: float, columns: int) -> None:
     require_entries((steps + 1.0) * columns, f"a run of {steps:.3g} steps x {columns} columns")
 
 
-@dataclass(frozen=True)
-class _Resolved:
-    model: NonlinearRobotModel
-    x0: OpenLoopState
-    shaped: ShapedParams            # (J, K, D) for the bare plant
-    K_H: np.ndarray | None          # None for the bare plant
-    cap: float                      # the stability cap on the step
-
-
 @cache
 def _zero_state(n: int) -> OpenLoopState:
     """The rest state of an n-joint plant, built once: states are immutable."""
     return OpenLoopState.zero(n)
 
 
-def _resolve(sc: Scenario, need_controller: bool = False) -> _Resolved:
-    """Validate a scenario's parts and resolve its controller; the step is
-    left to ``_step``."""
+def _resolve(sc: Scenario, need_controller: bool = False):
+    """Validate a scenario's parts and resolve it into ``(loop, x0, cap)``:
+    the plant under the controller's shaping, (J, K, D) for the bare plant;
+    the step is left to ``_step``."""
     if not isinstance(sc.controller, (ShapedParams, ImpedanceGains, type(None))):
         raise ValidationError(f"unsupported controller type {type(sc.controller).__name__}")
     model = as_model(sc.plant, sc.x0, sc.controller, sc.outer, sc.environment)
@@ -246,22 +236,21 @@ def _resolve(sc: Scenario, need_controller: bool = False) -> _Resolved:
     x0 = sc.x0 if sc.x0 is not None else _zero_state(n)
     sc.input.require_joint(n)
 
+    given = None
     if sc.controller is None:
         if need_controller:
             raise ValidationError("this simulation requires a controller")
         if sc.outer is not None:
             raise ValidationError("an outer loop requires a controller")
         # the bare plant is the identity shaping, whose control torque is zero
-        shaped, K_H = ShapedParams(model.J, model.K, model.D), None
+        shaped = ShapedParams(model.J, model.K, model.D)
     elif isinstance(sc.controller, ShapedParams):
         shaped = sc.controller
-        K_H = _input_gain(model, shaped)
     else:
-        shaped = recover_shaped(model, sc.controller.K_F, sc.controller.K_G, q_ref=x0.q)
-        check_gain_consistency(sc.controller, shaped, model)
-        K_H = sc.controller.K_H
-    cap = _dt_cap(model, x0.q, shaped if sc.controller is not None else None, sc)
-    return _Resolved(model, x0, shaped, K_H, cap)
+        given = sc.controller
+        shaped = recover_shaped(model, given.K_F, given.K_G, q_ref=x0.q)
+    loop = ShapedLoop(model, shaped, given)
+    return loop, x0, _dt_cap(model, x0.q, shaped if sc.controller is not None else None, sc)
 
 
 def _step(sc: Scenario, cap: float, n: int) -> float:
@@ -291,7 +280,7 @@ def _default_dt(cap: float) -> float:
 def stability_dt_cap(sc: Scenario) -> float:
     """Largest admissible step, 1/(20 w_max) over the scenario's pencils;
     the scenario's own ``dt`` and ``T`` are not checked."""
-    return _resolve(sc).cap
+    return _resolve(sc)[2]
 
 
 def _dt_cap(model: NonlinearRobotModel, q0: np.ndarray, shaped: ShapedParams | None,
@@ -340,14 +329,14 @@ def simulate_plant_with_controller(sc: Scenario) -> SimResult:
     """
     if sc.environment is not None:
         raise ValidationError("environment coupling is handled by simulate_coupled")
-    return _simulate(sc, _resolve(sc), "open")
+    return _simulate(sc, "open")
 
 
 def simulate_closed_form(sc: Scenario) -> SimResult:
     """Integrate the shaped dynamics directly in (q, phi, p, z)."""
     if sc.environment is not None:
         raise ValidationError("environment coupling is handled by simulate_coupled")
-    return _simulate(sc, _resolve(sc, need_controller=True), "closed")
+    return _simulate(sc, "closed")
 
 
 def simulate_coupled(sc: Scenario) -> SimResult:
@@ -363,14 +352,14 @@ def simulate_coupled(sc: Scenario) -> SimResult:
         raise ValidationError("simulate_coupled requires an environment")
     if not isinstance(sc.plant, LinearRobotParams):
         raise ValidationError("environment coupling is implemented for constant-mass plants")
-    return _simulate(sc, _resolve(sc, need_controller=True), "coupled")
+    return _simulate(sc, "coupled")
 
 
 # every recorded series of a run, one row per sample
 _Series = namedtuple("_Series", "q theta p s phi z qdot phidot tau_u tau_e tau")
 
 
-def _simulate(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
+def _simulate(sc: Scenario, chart: str) -> SimResult:
     """Any chart of any plant, from one field and one series function.
 
     ``field(x, u)`` gives the rate of (x, supply), and ``series(x, u)``
@@ -382,14 +371,12 @@ def _simulate(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
     on the sample matrix; on a constant-mass plant both are affine and
     ``_propagate`` applies the exact RK4 step matrix.
     """
-    model, shaped, outer, env, signal = r.model, r.shaped, sc.outer, sc.environment, sc.input
+    loop, start, cap = _resolve(sc, need_controller=chart != "open")
+    model, shaped, outer, env, signal = loop.model, loop.shaped, sc.outer, sc.environment, sc.input
     n = model.n
-    dt = _step(sc, r.cap, n)
+    dt = _step(sc, cap, n)
     K, J_e, K_e = model.K, shaped.J_e, shaped.K_e
     Jinv, Jeinv = model.Jinv, shaped.Jeinv
-    to_shaped, to_plant = np.linalg.solve(K_e, K), np.linalg.solve(K, K_e)
-    K_H = r.K_H
-    gains_at_mass = configuration_gains(model, K_e, K_H)
     bare = sc.controller is None
     link = model if env is None else as_model(replace(sc.plant, M=sc.plant.M + env.M_h))
 
@@ -408,10 +395,10 @@ def _simulate(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
         ct = model.chart_terms(q, theta, p, s, Jinv, K, model.D)
         if bare:        # the identity shaping: phi = theta, no control torque
             return ct, theta, ct.adot, np.zeros_like(tau_e), np.zeros_like(tau_e)
-        phi, phidot = switch_chart(q, theta, ct.qdot, ct.adot, to_shaped)
+        phi, phidot = switch_chart(q, theta, ct.qdot, ct.adot, loop.S)
         tau_u = outer_torque(phi, phidot)
-        K_F, K_G = gains_at_mass(ct.Minv)
-        tau = control_law(K_F, K_G, K_H, tau_e - ct.coriolis - ct.grad_v, ct.tau_a, tau_u)
+        K_F, K_G = loop.gains(ct.Minv)
+        tau = control_law(K_F, K_G, loop.K_H, tau_e - ct.coriolis - ct.grad_v, ct.tau_a, tau_u)
         return ct, phi, phidot, tau_u, tau
 
     def shaped_terms(y, u):
@@ -431,7 +418,7 @@ def _simulate(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
             ct, phi, phidot, tau_u, tau = plant_terms(*split(x), u)
             return _Series(*split(x), phi, phidot @ J_e.T, ct.qdot, phidot, tau_u, u, tau)
 
-        x0 = r.x0.pack()
+        x0 = start.pack()
     else:
         def field(y, u):
             ct, tau_u, rates = shaped_terms(y, u)
@@ -445,12 +432,12 @@ def _simulate(sc: Scenario, r: _Resolved, chart: str) -> SimResult:
             if env is not None:     # robot momentum M q' and port torque M q'' - tau_a
                 M = model.mass_of(q)
                 p, tau_e = matvec(M, ct.qdot), matvec(M, matvec(ct.Minv, dp)) - ct.tau_a
-            theta, thdot = switch_chart(q, phi, ct.qdot, ct.adot, to_plant)
+            theta, thdot = switch_chart(q, phi, ct.qdot, ct.adot, loop.Sinv)
             s = thdot @ model.J.T
             tau = plant_terms(q, theta, p, s, tau_e)[-1]
             return _Series(q, theta, p, s, phi, z, ct.qdot, ct.adot, tau_u, tau_e, tau)
 
-        q, theta, p, s = split(r.x0.pack())
+        q, theta, p, s = split(start.pack())
         ct, phi, phidot, _, _ = plant_terms(q, theta, p, s, np.zeros(n))
         if env is not None:         # merged momentum (M + M_h) q'
             p = p + ct.qdot @ env.M_h.T

@@ -23,18 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import (
-    ImpedanceGains,
-    ShapedParams,
-    check_gain_consistency,
-    control_law,
-    gains_at,
-)
+from .control import ImpedanceGains, ShapedLoop, ShapedParams, control_law
 from .errors import DegenerateModelError, TransformSingularError
 from .linalg import as_vector, matvec, solve
 from .model import (
     ChartState,
-    NonlinearRobotModel,
     OpenLoopState,
     RobotModel,
     as_model,
@@ -63,21 +56,21 @@ def switch_chart(q, a, qdot, adot, S):
     return q + (a - q) @ S.T, qdot + (adot - qdot) @ S.T
 
 
-def _chart_map(xv: np.ndarray, sp: ShapedParams, model: NonlinearRobotModel) -> np.ndarray:
+def _chart_map(xv: np.ndarray, loop: ShapedLoop) -> np.ndarray:
     """The plant-to-shaped map of packed states ``(..., 4n) -> (..., 4n)``,
     one batched solve with M(q) and one with J per call."""
+    model = loop.model
     q, theta, p, s = (xv[..., k * model.n:(k + 1) * model.n] for k in range(4))
     qdot = solve(model.mass_of(q), p[..., None], "mass matrix", DegenerateModelError)[..., 0]
     thdot = solve(model.J, s[..., None], "J")[..., 0]
-    S = solve(sp.K_e, model.K, "K_e", TransformSingularError)
-    phi, phidot = switch_chart(q, theta, qdot, thdot, S)
-    return np.concatenate([q, phi, p, matvec(sp.J_e, phidot)], axis=-1)
+    phi, phidot = switch_chart(q, theta, qdot, thdot, loop.S)
+    return np.concatenate([q, phi, p, matvec(loop.shaped.J_e, phidot)], axis=-1)
 
 
 def to_closed(x: OpenLoopState, sp: ShapedParams, m: RobotModel) -> ClosedLoopState:
     """Map the plant state into the shaped chart; M(q) at the state's q.
     The array chart map on one state, as a validated ``ClosedLoopState``."""
-    return ClosedLoopState.unpack(_chart_map(x.pack(), sp, as_model(m, x, sp)), x.n)
+    return ClosedLoopState.unpack(_chart_map(x.pack(), ShapedLoop(as_model(m, x, sp), sp)), x.n)
 
 
 def from_closed(y: ClosedLoopState, sp: ShapedParams, m: RobotModel) -> OpenLoopState:
@@ -85,8 +78,7 @@ def from_closed(y: ClosedLoopState, sp: ShapedParams, m: RobotModel) -> OpenLoop
     model = as_model(m, y, sp)
     qdot = solve(model.mass_of(y.q), y.p, "mass matrix", DegenerateModelError)
     phidot = solve(sp.J_e, y.z, "J_e", TransformSingularError)
-    S = solve(model.K, sp.K_e, "K", TransformSingularError)
-    theta, thdot = switch_chart(y.q, y.phi, qdot, phidot, S)
+    theta, thdot = switch_chart(y.q, y.phi, qdot, phidot, ShapedLoop(model, sp).Sinv)
     return OpenLoopState(y.q, theta, y.p, model.J @ thdot)
 
 
@@ -127,7 +119,8 @@ def equivalence_residual(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains,
     batched call, and its middle point is the transformed state; it
     differentiates ``mass_of`` itself, so a ``dmass_of`` that disagrees
     with ``mass_of`` shows up in the residual.  The plant's field terms at
-    ``x`` give both the control torque and the plant field.
+    ``x`` give both the control torque and the plant field; on a
+    varying-mass plant K_F and K_G follow M(q) at ``x``, with g's own K_H.
 
     Returns
     -------
@@ -144,18 +137,17 @@ def equivalence_residual(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains,
     n = model.n
     tau_e = as_vector(tau_e, n, "tau_e")
     tau_u = as_vector(tau_u, n, "tau_u")
-    check_gain_consistency(g, sp, model)
+    loop = ShapedLoop(model, sp, g)
 
     # on a constant-mass plant C = 0, so this is linear_control with g
-    gains = g if model.constant_mass else gains_at(model, sp, x.q)
+    K_F, K_G = (g.K_F, g.K_G) if model.constant_mass else loop.gains(model.inverse_mass(x.q))
     t = model.chart_terms(x.q, x.theta, x.p, x.s, model.Jinv, model.K, model.D)
-    tau = control_law(gains.K_F, gains.K_G, gains.K_H, tau_e - t.coriolis - t.grad_v,
-                      t.tau_a, tau_u)
+    tau = control_law(K_F, K_G, g.K_H, tau_e - t.coriolis - t.grad_v, t.tau_a, tau_u)
     xv = x.pack()
     dx = np.concatenate([t.qdot, t.adot, *t.rates(tau_e, tau)])
     # directional derivative of the transform along the flow
     h = 1e-3 * max(float(np.linalg.norm(xv)), 1.0) / max(float(np.linalg.norm(dx)), 1e-9)
-    y = _chart_map(xv + np.arange(-2.0, 3.0)[:, None] * h * dx, sp, model)
+    y = _chart_map(xv + np.arange(-2.0, 3.0)[:, None] * h * dx, loop)
     dy_pushed = (y[0] - 8.0 * y[1] + 8.0 * y[3] - y[4]) / (12.0 * h)
     q, phi, p, z = (y[2, k * n:(k + 1) * n] for k in range(4))
     ts = model.chart_terms(q, phi, p, z, sp.Jeinv, sp.K_e, sp.D_e)

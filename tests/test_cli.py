@@ -660,3 +660,25 @@ class TestConfigFuzz:
             argv = [*argv, "--out", str(tmp_path)]
         code, err = _run_edited(study, index, line, argv, tmp_path, capsys)
         assert code == EXIT_INFEASIBLE and err.startswith(f"error: {key} "), err
+
+
+class TestOverflowExits2:
+    """A finite value whose products overflow float64 ends in one ``error:``
+    line and exit 2, with no RuntimeWarning (an error under this suite)."""
+
+    def test_pzmap_refuses_an_overflowing_transfer_function(self, tmp_path, capsys):
+        code, err = _run_edited("onedof", _line_of("onedof", "plant", "M"), "M = 1e-300",
+                                ["pzmap", "--out", str(tmp_path)], tmp_path, capsys)
+        assert code == EXIT_INFEASIBLE
+        assert err.startswith("error: transfer function: ") and err.count("\n") == 1, err
+        assert "overflows float64" in err
+
+    @pytest.mark.parametrize("argv", [["synth"], ["simulate", "--horizon", "0.002"]],
+                             ids=["synth", "simulate"])
+    def test_two_link_inertias_that_overflow_name_the_links(self, argv, tmp_path, capsys):
+        code, err = _run_edited("twolink", _line_of("twolink", "plant", "link_lengths"),
+                                "link_lengths = 1e300, 0.4", [*argv, "--out", str(tmp_path)],
+                                tmp_path, capsys)
+        assert code == EXIT_INFEASIBLE
+        assert err.startswith("error: link_lengths [1e+300, 0.4] and link_masses [4.0, 2.5] ")
+        assert err.count("\n") == 1, err

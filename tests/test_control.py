@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -19,6 +20,7 @@ from flexjoint import (
     ShapingInfeasibleError,
     ValidationError,
     colgate_interval,
+    equivalence_residual,
     linear_control,
     nonlinear_control,
     outer_loop_torque,
@@ -26,7 +28,13 @@ from flexjoint import (
     simulate_plant_with_controller,
     synthesize_gains,
 )
-from flexjoint.control import check_gain_consistency, gain_consistency_error, gains_at
+from flexjoint.control import (
+    ShapedLoop,
+    check_gain_consistency,
+    gain_consistency_error,
+    gains_at,
+)
+from flexjoint.model import as_model
 
 
 class TestSynthesizeGains:
@@ -363,3 +371,104 @@ def test_gain_consistency_names_the_violation(paper_plant, gains, fragment):
     _, sp = synthesize_gains(paper_plant, 1.5, 5e5)
     with pytest.raises(ConfigurationError, match=re.escape(fragment)):
         check_gain_consistency(gains, sp, paper_plant)
+
+
+class TestShapedLoop:
+    """``ShapedLoop`` owns S, S^-1, K_H and the configuration gains of one
+    plant and shaping: each the direct form, computed once and read-only."""
+
+    @pytest.fixture(params=["random_3_joint", "two_link"])
+    def loop(self, request, demo_arm):
+        if request.param == "two_link":
+            plant = demo_arm
+            sp = synthesize_gains(plant, np.diag([0.5, 0.8]), 2.0 * plant.K)[1]
+        else:
+            rng = np.random.default_rng(43)
+            plant = rand_plant(rng, 3)
+            sp = synthesize_gains(plant, *rand_admissible_shaping(rng, plant))[1]
+        return ShapedLoop(as_model(plant), sp)
+
+    def test_matrices_are_the_direct_forms(self, loop):
+        model, sp = loop.model, loop.shaped
+        K_H = model.J @ np.linalg.inv(model.K) @ sp.K_e @ np.linalg.inv(sp.J_e)
+        for name, want in (("S", np.linalg.solve(sp.K_e, model.K)),
+                           ("Sinv", np.linalg.solve(model.K, sp.K_e)), ("K_H", K_H)):
+            got = getattr(loop, name)
+            assert np.array_equal(got, want), name
+            assert getattr(loop, name) is got, name
+            with pytest.raises(ValueError):
+                got[0, 0] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(loop, name, want)
+
+    def test_gains_are_the_direct_form_for_one_mass_or_a_stack(self, loop):
+        model, sp = loop.model, loop.shaped
+        qs = np.array([[0.0] * model.n, [0.3] * model.n, [-1.1] * model.n])
+        Minv = model.inverse_mass(qs)
+        K_F = -(model.J @ np.linalg.inv(model.K)) @ (sp.K_e - model.K) @ Minv[1]
+        assert np.array_equal(loop.gains(Minv[1])[0], K_F)
+        assert np.array_equal(loop.gains(Minv[1])[1], loop.K_H - K_F - np.eye(model.n))
+        stacked = loop.gains(Minv)
+        for k in range(len(qs)):
+            for got, want in zip(stacked, loop.gains(Minv[k])):
+                assert np.array_equal(got[k], want)
+
+    def test_given_gains_keep_their_own_K_H(self, paper_plant):
+        g, sp = synthesize_gains(paper_plant, 1.5, 5e5)
+        assert ShapedLoop(as_model(paper_plant), sp, g).K_H is g.K_H
+
+
+# (entry, call on (plant, gains, shaping)); the simulator recovers its shaping
+# from (K_F, K_G), so only the identity check can fail there
+OWNER_ENTRIES = [
+    ("check_gain_consistency", lambda m, g, sp: check_gain_consistency(g, sp, m)),
+    ("equivalence_residual",
+     lambda m, g, sp: equivalence_residual(OpenLoopState.zero(m.n), 0.0, 0.0, g, sp, m)),
+    ("simulate", lambda m, g, sp: simulate_plant_with_controller(
+        Scenario(plant=m, controller=g, T=1e-3, dt=2e-5))),
+]
+
+
+@pytest.mark.parametrize("entry, call", OWNER_ENTRIES, ids=[e for e, _ in OWNER_ENTRIES])
+@pytest.mark.parametrize("gains, error, message", [
+    (ImpedanceGains(np.eye(2), np.eye(2), 3.0 * np.eye(2)), ValidationError,
+     "ImpedanceGains is 2-joint, plant is 1-joint"),
+    (ImpedanceGains(0.9, 4.0, 6.0), ConfigurationError,
+     "gain triple violates K_H - K_G - K_F = I by 1.000e-01"),
+    (ImpedanceGains(0.9, 4.0, 5.9), ConfigurationError,
+     "K_H inconsistent with shaped parameters (deviation 4.900e+00)"),
+], ids=["joints", "identity", "input_gain"])
+def test_owner_errors_keep_type_and_message(paper_plant, entry, call, gains, error, message):
+    _, sp = synthesize_gains(paper_plant, 1.5, 5e5)
+    if entry == "simulate" and message.startswith("K_H"):
+        # recover_shaped(0.9, 4.0) realizes K_H = 5.9: these gains are consistent
+        simulate_plant_with_controller(Scenario(plant=paper_plant, controller=gains,
+                                                T=1e-3, dt=2e-5))
+        return
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(paper_plant, gains, sp)
+
+
+def test_gain_controller_applies_its_own_input_gain(demo_arm):
+    """K_H moved inside the 1e-8 tolerance passes the check, and the
+    simulated torque uses it, with K_G = K_H - K_F - I, not the K_H that the
+    recovered shaping implies."""
+    x0 = OpenLoopState.from_velocities([0.2, -0.3], [0.25, -0.2], [0.4, 0.1], np.zeros(2),
+                                       demo_arm)
+    _, sp = synthesize_gains(demo_arm, 0.5 * np.eye(2), 2.0 * demo_arm.K)
+    g = gains_at(demo_arm, sp, x0.q)
+    moved = ImpedanceGains(g.K_F, g.K_G, g.K_H + 5e-9 * float(np.abs(g.K_H).max()) * np.eye(2))
+    sc = Scenario(plant=demo_arm, controller=moved, outer=OuterLoop(50.0 * np.eye(2), 5.0 * np.eye(2)), x0=x0,
+                  T=1e-3, dt=5e-5)
+    r = simulate_plant_with_controller(sc)
+    shaped = recover_shaped(demo_arm, moved.K_F, moved.K_G, q_ref=x0.q)
+    own, implied = [], []
+    for k in range(len(r.t)):
+        x = OpenLoopState(r.q[k], r.theta[k], r.p[k], r.s[k])
+        at = gains_at(demo_arm, shaped, r.q[k])
+        for out, K_H in ((own, moved.K_H), (implied, at.K_H)):
+            gains = ImpedanceGains(at.K_F, K_H - at.K_F - np.eye(2), K_H)
+            out.append(np.abs(r.tau[k] - nonlinear_control(x, r.tau_e[k], r.tau_u[k], gains,
+                                                           demo_arm)).max())
+    assert max(implied) > 0.0
+    assert max(own) <= 1e-3 * max(implied)

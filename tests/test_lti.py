@@ -371,6 +371,18 @@ class TestSsToTf:
         with pytest.raises(AssemblyError):
             ss_to_tf(ss)
 
+    @pytest.mark.parametrize("A, b, c, d, what", [
+        ([[-1.0]], [[1.0]], [[1e300]], [[1e-300]], "A - b c / d"),
+        ([[0.0, 1e200], [-1e200, 0.0]], [[0.0], [1.0]], [[1e200, 0.0]], [[0.0]], "c A^k b"),
+        (np.diag([1e300, 1e300]), [[1.0], [0.0]], [[1e10, 1e10]], [[0.0]], "the zero dynamics"),
+        (np.diag([-1e200, -1e200]), [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]], "||A||_F"),
+    ], ids=["feedthrough", "markov", "zero_dynamics", "norm"])
+    def test_refuses_what_overflows(self, A, b, c, d, what):
+        # an overflowed product is refused before LAPACK, with no RuntimeWarning
+        with pytest.raises(AssemblyError, match=f"^transfer function: {re.escape(what)} "
+                                                "overflows float64"):
+            ss_to_tf(StateSpace(A, b, c, d))
+
 
 class TestFreqResponse:
     def test_first_order_corner(self):

@@ -21,6 +21,7 @@ from flexjoint import (
     synthesize_gains,
     to_closed,
 )
+from flexjoint.control import ShapedLoop
 from flexjoint.model import as_model
 from flexjoint.transform import RESIDUAL_FLOOR, _chart_map
 
@@ -161,7 +162,7 @@ def composed_residual(x, tau_e, tau_u, g, sp, m):
     xv = x.pack()
     dx = open_loop_field(x, tau_e, tau, model).pack()
     h = 1e-3 * max(float(np.linalg.norm(xv)), 1.0) / max(float(np.linalg.norm(dx)), 1e-9)
-    y = _chart_map(xv + np.array([[-2.0], [-1.0], [1.0], [2.0]]) * h * dx, sp, model)
+    y = _chart_map(xv + np.array([[-2.0], [-1.0], [1.0], [2.0]]) * h * dx, ShapedLoop(model, sp))
     dy_pushed = (y[0] - 8.0 * y[1] + 8.0 * y[2] - y[3]) / (12.0 * h)
     dy_shaped = closed_loop_field(to_closed(x, sp, model), tau_e, tau_u, sp, model).pack()
     scale = max(float(np.max(np.abs(dy_shaped))), RESIDUAL_FLOOR)
