@@ -82,9 +82,7 @@ def freeze(obj, names, n: int, coerce=as_matrix) -> None:
     """Replace each named field of a frozen dataclass by its coerced,
     read-only array (``as_matrix`` or ``as_vector``)."""
     for name in names:
-        arr = coerce(getattr(obj, name), n, name)
-        arr.setflags(write=False)
-        object.__setattr__(obj, name, arr)
+        object.__setattr__(obj, name, read_only(coerce(getattr(obj, name), n, name)))
 
 
 def require_joints(n: int, parts, err=ValidationError) -> None:
@@ -95,107 +93,70 @@ def require_joints(n: int, parts, err=ValidationError) -> None:
             raise err(f"{type(part).__name__} is {part.n}-joint, plant is {n}-joint")
 
 
-def symmetry_error(a: np.ndarray) -> float:
-    return float(np.abs(a - a.T).max()) if a.size else 0.0
-
-
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix, or of
-    each member of a stack ``(k, m, m)``.
+    each member of a stack ``(k, m, m)``, by one LAPACK call.
 
-    Raises ValueError when any pivot ``L[k, k]^2`` falls below
-    ``SPD_PIVOT_RTOL * ||a||_inf`` of its own matrix, or when LAPACK meets a
-    nonpositive one; for a stack, the message names the first member that
-    fails.
+    Raises ValueError when a pivot ``L[k, k]^2`` falls below
+    ``SPD_PIVOT_RTOL * ||a||_max`` of its own matrix or LAPACK meets a
+    nonpositive one; only then are the members factored in order.  The
+    error names the first that fails: ``member`` (0 for one matrix) and
+    ``reason``, its message after ``"member j: "`` for a stack.
     """
-    if a.ndim > 2:
-        return _cholesky_stack(a)
-    norm = float(np.abs(a).max()) if a.size else 0.0
-    thresh = SPD_PIVOT_RTOL * max(norm, _TINY)
+    thresh = SPD_PIVOT_RTOL * np.abs(a).max(axis=(-2, -1), initial=_TINY)
     try:
         L = np.linalg.cholesky(a)
+        if not (L.diagonal(axis1=-2, axis2=-1) ** 2 < thresh[..., None]).any():
+            return L
     except np.linalg.LinAlgError:
-        raise ValueError(f"nonpositive pivot, threshold {thresh:.3e}") from None
-    pivots = L.diagonal() ** 2
-    low = pivots < thresh
-    if low.any():
-        k = int(low.argmax())
-        raise ValueError(f"pivot {pivots[k]:.3e} below threshold {thresh:.3e} at index {k}")
-    return L
-
-
-def _cholesky_stack(a: np.ndarray) -> np.ndarray:
-    """``cholesky_lower`` of each member of a stack, by one LAPACK call; when
-    that call or a pivot fails, the members are checked one by one, and the
-    ValueError names the first that fails, also as its ``member``."""
-    thresh = SPD_PIVOT_RTOL * np.abs(a).max(axis=(1, 2), initial=_TINY)
-    try:
-        L = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        L = None
-    if L is None or (L.diagonal(axis1=1, axis2=2) ** 2 < thresh[:, None]).any():
-        for j, member in enumerate(a):
-            try:
-                cholesky_lower(member)
-            except ValueError as exc:
-                err = ValueError(f"member {j}: {exc}")
-                err.member = j
-                raise err from None
-    return L
-
-
-def require_symmetric(a: np.ndarray, name: str, err=ValidationError) -> None:
-    """Raise ``err`` when the asymmetry exceeds ``1e-9 max(||a||_max, 1)``."""
-    scale = max(float(np.abs(a).max()), 1.0) if a.size else 1.0
-    if not symmetry_error(a) <= 1e-9 * scale:
-        raise err(f"{name} is not symmetric (asymmetry {symmetry_error(a):.3e})")
-
-
-def require_spd(a: np.ndarray, name: str, err=ValidationError) -> None:
-    """Check symmetry and positive definiteness; raise ``err`` on failure."""
-    require_symmetric(a, name, err)
-    try:
-        cholesky_lower(0.5 * (a + a.T))
-    except ValueError as exc:
-        raise err(f"{name} is not positive definite ({exc})") from None
-
-
-def require_psd(a: np.ndarray, name: str, err=ValidationError) -> None:
-    """Check symmetry and positive semidefiniteness; raise ``err`` on failure."""
-    require_symmetric(a, name, err)
-    w = np.linalg.eigvalsh(0.5 * (a + a.T))
-    scale = max(float(np.abs(a).max()), 1.0)
-    if w.size and w[0] < -1e-10 * scale:
-        raise err(f"{name} is not positive semidefinite (min eigenvalue {w[0]:.3e})")
+        pass
+    for j, (member, t) in enumerate(zip(a.reshape((-1,) + a.shape[-2:]), thresh.reshape(-1))):
+        try:
+            pivots = np.linalg.cholesky(member).diagonal() ** 2
+        except np.linalg.LinAlgError:
+            reason = f"nonpositive pivot, threshold {t:.3e}"
+        else:
+            low = pivots < t
+            if not low.any():
+                continue
+            k = int(low.argmax())
+            reason = f"pivot {pivots[k]:.3e} below threshold {t:.3e} at index {k}"
+        err = ValueError(f"member {j}: {reason}" if a.ndim > 2 else reason)
+        err.member, err.reason = j, reason
+        raise err
 
 
 def require_admissible(entries) -> None:
-    """``require_spd`` or ``require_psd`` of each ``(matrix, name, spd, err)``
-    entry, all matrices of one shape, in one stacked pass: one symmetry
-    reduction, one Cholesky factorization of the SPD entries and one
-    ``eigvalsh`` of the PSD ones, at the same bounds.  When any entry fails,
-    the single checks run in order, so the first failing matrix raises its
-    ``err`` with their message."""
-    a = np.stack([entry[0] for entry in entries])
-    spd = np.array([entry[2] for entry in entries])
+    """Check each ``(matrix, name, spd, err)`` entry, all of one shape, in one
+    stacked pass: symmetry to ``1e-9 max(||a||_max, 1)``, then positive
+    definiteness, or semidefiniteness to ``-1e-10 max(||a||_max, 1)`` when
+    not ``spd``.  The first failing entry raises its ``err``."""
+    matrices, names, spd, errs = zip(*entries)
+    a, spd = np.stack(matrices), np.array(spd)
     scale = np.abs(a).max(axis=(1, 2), initial=1.0)        # max(||a||_max, 1)
+    asym = np.abs(a - a.mT).max(axis=(1, 2), initial=0.0)
     sym = 0.5 * (a + a.mT)
-    ok = (np.abs(a - a.mT).max(axis=(1, 2), initial=0.0) <= 1e-9 * scale).all()
-    if ok and spd.any():
+    failed = {}                        # entry index -> how it fails
+    if spd.any():
         try:
-            _cholesky_stack(sym[spd])
-        except ValueError:
-            ok = False
-    if ok and not spd.all():
+            cholesky_lower(sym[spd])
+        except ValueError as exc:
+            failed[int(np.flatnonzero(spd)[exc.member])] = f"positive definite ({exc.reason})"
+    if not spd.all():
         psd = ~spd
-        ok = not (np.linalg.eigvalsh(sym[psd])[:, :1] < -1e-10 * scale[psd, None]).any()
-    if not ok:
-        for matrix, name, is_spd, err in entries:
-            (require_spd if is_spd else require_psd)(matrix, name, err)
-
-
-def min_eigenvalue_sym(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (a + a.T))[0])
+        least = np.linalg.eigvalsh(sym[psd])[:, :1]        # one column, none when m = 0
+        low = least < -1e-10 * scale[psd, None]
+        if low.any():
+            j = int(low.argmax())
+            failed[int(np.flatnonzero(psd)[j])] = \
+                f"positive semidefinite (min eigenvalue {least[j, 0]:.3e})"
+    asymmetric = ~(asym <= 1e-9 * scale)
+    if asymmetric.any():               # outranks the entry's definiteness
+        i = int(asymmetric.argmax())
+        failed[i] = f"symmetric (asymmetry {asym[i]:.3e})"
+    if failed:
+        i = min(failed)
+        raise errs[i](f"{names[i]} is not {failed[i]}")
 
 
 def solve(a: np.ndarray, b: np.ndarray, name: str, err=ValidationError) -> np.ndarray:

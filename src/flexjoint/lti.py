@@ -83,8 +83,7 @@ class StateSpace:
         if Dm.shape != (C.shape[0], B.shape[1]):
             raise ValidationError(f"Dmat shape {Dm.shape} != ({C.shape[0]}, {B.shape[1]})")
         for name, mat in (("A", A), ("B", B), ("C", C), ("Dmat", Dm)):
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
+            object.__setattr__(self, name, read_only(mat.copy()))
 
     @property
     def n_states(self) -> int:

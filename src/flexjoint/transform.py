@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ImpedanceGains, ShapedLoop, ShapedParams, control_law
-from .errors import DegenerateModelError, TransformSingularError
+from .errors import DegenerateModelError, TransformSingularError, ValidationError
 from .linalg import as_vector, matvec, solve
 from .model import (
     ChartState,
@@ -132,6 +132,8 @@ def equivalence_residual(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains,
     ------
     ConfigurationError
         If the gain triple is inconsistent with the shaped parameters.
+    ValidationError
+        If the norm of the state or of the plant field overflows float64.
     """
     model = as_model(m, x, g, sp)
     n = model.n
@@ -146,7 +148,11 @@ def equivalence_residual(x: OpenLoopState, tau_e, tau_u, g: ImpedanceGains,
     xv = x.pack()
     dx = np.concatenate([t.qdot, t.adot, *t.rates(tau_e, tau)])
     # directional derivative of the transform along the flow
-    h = 1e-3 * max(float(np.linalg.norm(xv)), 1.0) / max(float(np.linalg.norm(dx)), 1e-9)
+    with np.errstate(over="ignore"):
+        h = 1e-3 * max(float(np.linalg.norm(xv)), 1.0) / max(float(np.linalg.norm(dx)), 1e-9)
+    if not 0.0 < h < np.inf:
+        raise ValidationError("equivalence residual: the plant state or field overflows "
+                              "float64; rescale the plant")
     y = _chart_map(xv + np.arange(-2.0, 3.0)[:, None] * h * dx, loop)
     dy_pushed = (y[0] - 8.0 * y[1] + 8.0 * y[3] - y[4]) / (12.0 * h)
     q, phi, p, z = (y[2, k * n:(k + 1) * n] for k in range(4))

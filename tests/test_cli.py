@@ -2,6 +2,7 @@ import csv
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -672,6 +673,16 @@ class TestOverflowExits2:
         assert code == EXIT_INFEASIBLE
         assert err.startswith("error: transfer function: ") and err.count("\n") == 1, err
         assert "overflows float64" in err
+
+    @pytest.mark.parametrize("line", ["M = 1e-300", "K = 1e300"])
+    def test_verify_refuses_a_plant_field_that_overflows(self, line, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _run_edited("onedof", _line_of("onedof", "plant", line.split()[0]),
+                                    line, ["verify"], tmp_path, capsys)
+        assert code == EXIT_INFEASIBLE and not caught, [str(w.message) for w in caught]
+        assert err == ("error: equivalence residual: the plant state or field overflows "
+                       "float64; rescale the plant\n"), err
 
     @pytest.mark.parametrize("argv", [["synth"], ["simulate", "--horizon", "0.002"]],
                              ids=["synth", "simulate"])

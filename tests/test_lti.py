@@ -240,6 +240,19 @@ class TestTargetAdmittance:
         assert zeros.tolist() == [0.0]
 
 
+class TestStateSpace:
+    def test_blocks_are_read_only_copies(self):
+        blocks = [np.array([[-1.0, 2.0], [0.0, -3.0]]), np.ones((2, 1)), np.ones((1, 2)),
+                  np.zeros((1, 1))]
+        ss = StateSpace(*blocks)
+        for name, block in zip(("A", "B", "C", "Dmat"), blocks):
+            kept = getattr(ss, name)
+            assert kept is not block and block.flags.writeable and not kept.flags.writeable
+            before = kept.copy()
+            block += 1.0
+            np.testing.assert_array_equal(kept, before)
+
+
 class TestSsToTf:
     def test_first_order_lag(self):
         ss = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
