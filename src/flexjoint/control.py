@@ -30,7 +30,7 @@ evaluation, and the extra Coriolis compensation lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -40,22 +40,20 @@ from .errors import (
     ParametrizationSingularError,
     ShapingInfeasibleError,
     TransformSingularError,
-    ValidationError,
 )
 from .linalg import (
+    MATRIX,
+    PSD,
+    SPD,
+    VECTOR,
     as_matrix,
     as_vector,
     freeze,
     matvec,
     read_only,
-    require_admissible,
     solve,
 )
 from .model import NonlinearRobotModel, OpenLoopState, RobotModel, as_model
-
-# (name, SPD rather than PSD, error) of each shaped matrix, in checking order
-_SHAPING_CHECKS = tuple((name, name != "D_e", partial(ShapingInfeasibleError, matrix_name=name))
-                        for name in ("J_e", "K_e", "D_e"))
 
 
 @dataclass(frozen=True)
@@ -63,22 +61,15 @@ class ShapedParams:
     """Closed-loop inertia, stiffness, and damping (J_e, K_e, D_e).  Building
     one is the only admissibility check of a shaping (J_e, K_e SPD, D_e PSD),
     one stacked pass over the three; a failure raises ``ShapingInfeasibleError``
-    naming the first failing matrix.  ``Jeinv`` is computed once, on first
-    use, and is read-only."""
+    naming the first failing matrix.  ``n`` is the joint count; ``Jeinv`` is
+    computed once, on first use, and is read-only."""
 
     J_e: np.ndarray
     K_e: np.ndarray
     D_e: np.ndarray
 
     def __post_init__(self):
-        n = np.atleast_2d(np.asarray(self.J_e, dtype=float)).shape[0]
-        freeze(self, ("J_e", "K_e", "D_e"), n)
-        require_admissible([(getattr(self, name), name, spd, err)
-                            for name, spd, err in _SHAPING_CHECKS])
-
-    @property
-    def n(self) -> int:
-        return self.J_e.shape[0]
+        freeze(self, {"J_e": SPD, "K_e": SPD, "D_e": PSD}, err=ShapingInfeasibleError)
 
     @cached_property
     def Jeinv(self) -> np.ndarray:
@@ -94,19 +85,14 @@ class ShapedParams:
 
 @dataclass(frozen=True)
 class ImpedanceGains:
-    """Force-feedback, joint-torque, and auxiliary-input gains."""
+    """Force-feedback, joint-torque, and auxiliary-input gains of ``n`` joints."""
 
     K_F: np.ndarray
     K_G: np.ndarray
     K_H: np.ndarray
 
     def __post_init__(self):
-        n = np.atleast_2d(np.asarray(self.K_F, dtype=float)).shape[0]
-        freeze(self, ("K_F", "K_G", "K_H"), n)
-
-    @property
-    def n(self) -> int:
-        return self.K_F.shape[0]
+        freeze(self, {"K_F": MATRIX, "K_G": MATRIX, "K_H": MATRIX})
 
 
 @dataclass(frozen=True)
@@ -161,7 +147,7 @@ class ShapedLoop:
 
 @dataclass(frozen=True)
 class OuterLoop:
-    """Outer position loop tau_u = -K_phi (phi - phi_d) - D_phi phi' + gbar(phi)."""
+    """Outer loop of ``n`` joints: tau_u = -K_phi (phi - phi_d) - D_phi phi' + gbar(phi)."""
 
     K_phi: np.ndarray
     D_phi: np.ndarray
@@ -169,15 +155,7 @@ class OuterLoop:
     gravity_comp: bool = False
 
     def __post_init__(self):
-        n = np.atleast_2d(np.asarray(self.K_phi, dtype=float)).shape[0]
-        freeze(self, ("K_phi", "D_phi"), n)
-        require_admissible([(self.K_phi, "K_phi", False, ValidationError),
-                            (self.D_phi, "D_phi", False, ValidationError)])
-        freeze(self, ("phi_d",), n, as_vector)
-
-    @property
-    def n(self) -> int:
-        return self.K_phi.shape[0]
+        freeze(self, {"K_phi": PSD, "D_phi": PSD, "phi_d": VECTOR})
 
 
 def _reference_q(model: NonlinearRobotModel, q_ref=None) -> np.ndarray:

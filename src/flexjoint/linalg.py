@@ -7,9 +7,11 @@ factor, so the threshold stays under our control.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ShapingInfeasibleError, ValidationError
 
 # Cholesky pivot fails below this fraction of the matrix norm.
 SPD_PIVOT_RTOL = 1e-12
@@ -47,8 +49,11 @@ def as_matrix(value, n: int, name: str = "matrix") -> np.ndarray:
     matrices; 2-D input must already be (n, n).  An n x n matrix above
     ``MAX_ARRAY_ENTRIES`` raises ``ValidationError``.
     """
+    return _square(as_floats(value, name), n, name)
+
+
+def _square(arr: np.ndarray, n: int, name: str) -> np.ndarray:
     require_entries(float(n) * n, f"{name} as a {n:.3g} x {n:.3g} matrix")
-    arr = as_floats(value, name)
     if arr.ndim == 0:
         return float(arr) * np.eye(n)
     if arr.ndim == 1:
@@ -64,7 +69,10 @@ def as_matrix(value, n: int, name: str = "matrix") -> np.ndarray:
 
 def as_vector(value, n: int, name: str = "vector") -> np.ndarray:
     """Coerce a scalar or sequence to a length-n float vector."""
-    arr = as_floats(value, name)
+    return _length(as_floats(value, name), n, name)
+
+
+def _length(arr: np.ndarray, n: int, name: str) -> np.ndarray:
     if arr.ndim == 0:
         return np.full(n, float(arr))
     if arr.shape != (n,):
@@ -78,11 +86,40 @@ def read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def freeze(obj, names, n: int, coerce=as_matrix) -> None:
-    """Replace each named field of a frozen dataclass by its coerced,
-    read-only array (``as_matrix`` or ``as_vector``)."""
-    for name in names:
-        object.__setattr__(obj, name, read_only(coerce(getattr(obj, name), n, name)))
+VECTOR, MATRIX, SPD, PSD = "vector", "matrix", "SPD", "PSD"     # the kinds of field
+
+
+def freeze(obj, kinds: dict, n_field: str | None = None, err=ValidationError) -> None:
+    """Build the fields named in ``kinds`` of a frozen parameter type, in
+    order, as read-only length-n vectors (``VECTOR``) or (n, n) matrices
+    (``MATRIX``, ``SPD``, ``PSD``, as ``as_matrix`` reads them), and after the
+    last matrix check the SPD and PSD ones in one ``require_admissible`` pass,
+    which raises ``err``, named as ``matrix_name`` for a ShapingInfeasibleError.
+    n is the field ``n_field``, an integer >= 1 and not a bool; without one, 1
+    for a scalar first field, else its leading dimension (a diagonal vector of
+    length k counts k joints), set as ``obj.n``.  A bad n raises ValidationError."""
+    names = list(kinds)
+    if n_field is None:               # the first field, coerced once, gives n
+        first = as_floats(getattr(obj, names[0]), names[0])
+        n = first.shape[0] if first.ndim else 1
+        object.__setattr__(obj, "n", n)
+    else:
+        n = getattr(obj, n_field)
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValidationError(f"joint count must be an integer, got {n!r}")
+    if n < 1:
+        raise ValidationError(f"joint count must be >= 1, got {n}")
+    matrices = [name for name in names if kinds[name] != VECTOR]
+    named = issubclass(err, ShapingInfeasibleError)
+    checks = []
+    for i, (name, kind) in enumerate(kinds.items()):
+        arr = first if i == 0 and n_field is None else as_floats(getattr(obj, name), name)
+        arr = read_only(_length(arr, n, name) if kind == VECTOR else _square(arr, n, name))
+        object.__setattr__(obj, name, arr)
+        if kind in (SPD, PSD):
+            checks += [(arr, name, kind == SPD, partial(err, matrix_name=name) if named else err)]
+        if checks and name == matrices[-1]:
+            require_admissible(checks)
 
 
 def require_joints(n: int, parts, err=ValidationError) -> None:

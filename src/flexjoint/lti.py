@@ -43,7 +43,7 @@ from .errors import (
     NotApplicableError,
     ValidationError,
 )
-from .linalg import as_floats, freeze, read_only, require_admissible, require_joints
+from .linalg import PSD, SPD, as_floats, freeze, read_only, require_joints
 from .model import LinearRobotParams, as_model
 from .poly import aberth_roots, poly_from_roots, trim
 
@@ -139,10 +139,7 @@ class EnvironmentImpedance:
     K_h: np.ndarray
 
     def __post_init__(self):
-        freeze(self, ("M_h", "D_h", "K_h"), self.n)
-        require_admissible([(self.M_h, "M_h", False, ValidationError),
-                            (self.D_h, "D_h", False, ValidationError),
-                            (self.K_h, "K_h", False, ValidationError)])
+        freeze(self, {"M_h": PSD, "D_h": PSD, "K_h": PSD}, "n")
 
 
 @dataclass(frozen=True)
@@ -155,10 +152,7 @@ class TargetImpedance:
     D_d: np.ndarray
 
     def __post_init__(self):
-        freeze(self, ("M_d", "K_d", "D_d"), self.n)
-        require_admissible([(self.M_d, "M_d", True, ValidationError),
-                            (self.K_d, "K_d", True, ValidationError),
-                            (self.D_d, "D_d", True, ValidationError)])
+        freeze(self, {"M_d": SPD, "K_d": SPD, "D_d": SPD}, "n")
 
 
 @dataclass(frozen=True)

@@ -27,13 +27,15 @@ import numpy as np
 
 from .errors import DegenerateModelError, NotApplicableError, ValidationError
 from .linalg import (
+    PSD,
+    SPD,
+    VECTOR,
     as_matrix,
     as_vector,
     freeze,
     matvec,
     quad_form,
     read_only,
-    require_admissible,
     require_joints,
     solve,
 )
@@ -65,13 +67,7 @@ class LinearRobotParams:
     D: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"joint count must be >= 1, got {self.n}")
-        freeze(self, ("M", "J", "K", "D"), self.n)
-        require_admissible([(self.M, "M", True, ValidationError),
-                            (self.J, "J", True, ValidationError),
-                            (self.K, "K", True, ValidationError),
-                            (self.D, "D", False, ValidationError)])
+        freeze(self, {"M": SPD, "J": SPD, "K": SPD, "D": PSD}, "n")
 
     @cached_property
     def _model(self) -> "NonlinearRobotModel":
@@ -156,12 +152,7 @@ class NonlinearRobotModel:
     constant_mass: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"joint count must be >= 1, got {self.n}")
-        freeze(self, ("J", "K", "D"), self.n)
-        require_admissible([(self.J, "J", True, ValidationError),
-                            (self.K, "K", True, ValidationError),
-                            (self.D, "D", False, ValidationError)])
+        freeze(self, {"J": SPD, "K": SPD, "D": PSD}, "n")
 
     @cached_property
     def Jinv(self) -> np.ndarray:
@@ -265,15 +256,10 @@ def as_model(m: RobotModel, *parts) -> NonlinearRobotModel:
 
 class ChartState:
     """Base of the chart states: four read-only length-n vectors, the link
-    position ``q``, a motor coordinate, and their momenta."""
+    position ``q``, a motor coordinate, and their momenta; ``n`` is the joint count."""
 
     def __post_init__(self):
-        n = np.asarray(self.q, dtype=float).shape[0] if np.ndim(self.q) else 1
-        freeze(self, [field.name for field in fields(self)], n, as_vector)
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
+        freeze(self, {field.name: VECTOR for field in fields(self)})
 
     def pack(self) -> np.ndarray:
         return np.concatenate([getattr(self, field.name) for field in fields(self)])

@@ -140,8 +140,9 @@ def aberth_roots(coeffs) -> np.ndarray:
     ``sigma = s / w``, with ``w`` the power of two nearest
     ``(|c_0| / |c_d|)^(1/d)``, a scaling without rounding: companion-matrix
     eigenvalues (``numpy.polynomial.polynomial.polyroots``) refined by
-    Aberth-Ehrlich iteration.  Each root ``r`` is certified on the unscaled
-    coefficients by its backward error ``|p(r)| / sum_k |c_k| |r|^k``.  When
+    Aberth-Ehrlich iteration.  Each root ``r`` is certified by its backward
+    error ``|p(r)| / sum_k |c_k| |r|^k``, taken on the scaled coefficients at
+    ``r / w``: the unscaled bits wherever those sums stay in range.  When
     any is above ``ROOT_BACKWARD_ERROR``, or not a number, the iteration
     restarts once from the Newton polygon's circles (``_polygon_starts``),
     which separate roots spread over many decades that the companion
@@ -157,10 +158,11 @@ def aberth_roots(coeffs) -> np.ndarray:
     e = int(np.rint((np.log2(abs(c[0])) - np.log2(abs(c[-1]))) / (c.size - 1)))
     shift = e * np.arange(c.size)
     cw = np.ldexp(c, shift - np.max((np.frexp(c)[1] + shift)[c != 0]))   # largest in [0.5, 1)
+    scaled = np.concatenate([np.zeros(zeros_at_origin), cw])  # c_full(s) = 2^k scaled(s / 2^e)
     for starts in (lambda: P.polyroots(cw).astype(complex), lambda: _polygon_starts(cw)):
         z = _aberth_iterate(cw, starts())
         out = _enforce_conjugates([0j] * zeros_at_origin + (z * 2.0 ** e).tolist())
-        backward = _certify(out, c_full)
+        backward = _certify(out * 2.0 ** -e, scaled)
         if np.all(backward <= ROOT_BACKWARD_ERROR):
             return out
     raise RootFindingError(

@@ -493,32 +493,33 @@ def _propagate(field, series, power, x0, signal: InputSignal, h: float, T: float
         Wz[-1, -1] = 1.0
         return Wz
 
-    ident = np.eye(m, dz)
-    W1 = on_z(ident, 0)
-    W2 = on_z(ident + 0.5 * h * G @ W1, 1)
-    W3 = on_z(ident + 0.5 * h * G @ W2, 1)
-    W4 = on_z(ident + h * G @ W3, 2)
-    stages = (W1, W2, W3, W4)
-    weights = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0])
-    step = ident + sum(b * (G @ Wz) for b, Wz in zip(weights, stages))
+    with np.errstate(over="ignore", invalid="ignore"):    # a diverging run overflows here
+        ident = np.eye(m, dz)
+        W1 = on_z(ident, 0)
+        W2 = on_z(ident + 0.5 * h * G @ W1, 1)
+        W3 = on_z(ident + 0.5 * h * G @ W2, 1)
+        W4 = on_z(ident + h * G @ W3, 2)
+        stages = (W1, W2, W3, W4)
+        weights = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0])
+        step = ident + sum(b * (G @ Wz) for b, Wz in zip(weights, stages))
 
-    nsteps = int(round(T / h))
-    t = h * np.arange(nsteps + 1)
-    exo = np.hstack([signal.torque_series(t[:-1] + d, n) for d in (0.0, 0.5 * h, h)]
-                    + [np.ones((nsteps, 1))])
-    states = _scan(step[:, :m], x0, exo @ step[:, m:].T)
-    # the series that power reads, qdot, phidot and tau_u (adjacent in _Series),
-    # and the input, at the four stages of every step, side by side
-    first = _Series._fields.index("qdot")
-    L_power = L[:, first * n:(first + 3) * n]
-    stage_cols = np.hstack([np.hstack([Wz.T @ L_power, Wz[m:m + n].T]) for Wz in stages])
-    at_stages = (np.hstack([states[:-1], exo]) @ stage_cols).reshape(nsteps, 4, 4, n)
-    rate = power(*np.moveaxis(at_stages, 2, 0)) @ weights
-    supply = np.append(0.0, np.cumsum(rate))
-    # like integrate, flag the first non-finite state after the start
-    diverged = ~(np.isfinite(states[1:]).all(axis=1) & np.isfinite(supply[1:]))
-    if diverged.any():
-        raise _divergence(float(t[1 + np.argmax(diverged)]))
+        nsteps = int(round(T / h))
+        t = h * np.arange(nsteps + 1)
+        exo = np.hstack([signal.torque_series(t[:-1] + d, n) for d in (0.0, 0.5 * h, h)]
+                        + [np.ones((nsteps, 1))])
+        states = _scan(step[:, :m], x0, exo @ step[:, m:].T)
+        # the series that power reads, qdot, phidot and tau_u (adjacent in _Series),
+        # and the input, at the four stages of every step, side by side
+        first = _Series._fields.index("qdot")
+        L_power = L[:, first * n:(first + 3) * n]
+        stage_cols = np.hstack([np.hstack([Wz.T @ L_power, Wz[m:m + n].T]) for Wz in stages])
+        at_stages = (np.hstack([states[:-1], exo]) @ stage_cols).reshape(nsteps, 4, 4, n)
+        rate = power(*np.moveaxis(at_stages, 2, 0)) @ weights
+        supply = np.append(0.0, np.cumsum(rate))
+        # like integrate, flag the first non-finite state after the start
+        diverged = ~(np.isfinite(states[1:]).all(axis=1) & np.isfinite(supply[1:]))
+        if diverged.any():
+            raise _divergence(float(t[1 + np.argmax(diverged)]))
     W = np.hstack([states, signal.torque_series(t, n), np.ones((t.shape[0], 1))])
     return t, supply, _Series(*np.moveaxis((W @ L).reshape(nsteps + 1, -1, n), 1, 0))
 

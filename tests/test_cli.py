@@ -693,3 +693,30 @@ class TestOverflowExits2:
         assert code == EXIT_INFEASIBLE
         assert err.startswith("error: link_lengths [1e+300, 0.4] and link_masses [4.0, 2.5] ")
         assert err.count("\n") == 1, err
+
+
+class TestOverflowWithoutWarning:
+    """Runs whose arithmetic overflows float64 end as their exit code says,
+    with no RuntimeWarning (an error under this suite)."""
+
+    @pytest.mark.parametrize("section, line, command", [
+        ("plant", "D = 1e12", "simulate"), ("plant", "D = 1e12", "verify"),
+        ("plant", "D = 1e300", "simulate"),
+        ("outer_loop", "D_phi = 1e12", "simulate"), ("outer_loop", "D_phi = 1e12", "verify"),
+        ("outer_loop", "D_phi = 1e300", "simulate"), ("outer_loop", "D_phi = 1e300", "verify"),
+    ])
+    def test_diverging_constant_mass_run_exits_1(self, section, line, command, tmp_path, capsys):
+        argv = [command, "--out", str(tmp_path)] if command == "simulate" else [command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _run_edited("onedof", _line_of("onedof", section, line.split()[0]),
+                                    line, argv, tmp_path, capsys)
+        assert code == EXIT_DIVERGED and not caught, [str(w.message) for w in caught]
+        assert err.startswith("error: state became non-finite at t=") and err.count("\n") == 1, err
+
+    def test_pzmap_certifies_target_poles_600_decades_apart(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _run_edited("onedof", _line_of("onedof", "target", "K_d"), "K_d = 1e300",
+                                    ["pzmap", "--out", str(tmp_path)], tmp_path, capsys)
+        assert code == EXIT_OK and err == "" and not caught, [str(w.message) for w in caught]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -234,6 +236,35 @@ def test_moved_root_is_refused(monkeypatch):
     with pytest.raises(RootFindingError, match="backward error") as info:
         aberth_roots(c)
     assert info.value.residuals.size == 4 and np.max(info.value.residuals) > 1e-8
+
+
+# 3 s^2 + 1e300 s + 100: the terms |c_k| |r|^k of the root -3.3e299 overflow float64
+OVERFLOWING = [100.0, 1e300, 3.0]
+
+
+def test_roots_whose_certificate_overflows_unscaled():
+    roots = aberth_roots(OVERFLOWING)           # a RuntimeWarning is an error here
+    for r in roots:                             # exact backward errors, in rationals
+        x = Fraction(r.real)
+        p = sum(Fraction(c) * x ** k for k, c in enumerate(OVERFLOWING))
+        scale = sum(abs(Fraction(c)) * abs(x) ** k for k, c in enumerate(OVERFLOWING))
+        assert r.imag == 0.0 and abs(p) / scale <= ROOT_BACKWARD_ERROR
+
+
+def test_moved_root_is_refused_where_its_certificate_overflows_unscaled(monkeypatch):
+    # 0.1 s^2 + 1e155 s + 1: moved 1e-6 off, the root -1e156 has a finite
+    # residual, and unscaled its sum |c_k| |r|^k is inf, its backward error 0
+    from flexjoint import poly
+    refine = poly._aberth_iterate
+
+    def moved(c, z):
+        z = refine(c, z)
+        return z * np.where(np.abs(z) == np.abs(z).max(), 1.0 + 1e-6, 1.0)
+
+    monkeypatch.setattr(poly, "_aberth_iterate", moved)
+    with pytest.raises(RootFindingError, match="backward error") as info:
+        aberth_roots([1.0, 1e155, 0.1])
+    assert info.value.residuals == pytest.approx([5e-7, 0.0], abs=1e-9)
 
 
 def test_widely_scaled_coefficients():
